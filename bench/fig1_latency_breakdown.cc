@@ -40,7 +40,7 @@ Phase ProfileAndDecompose(Env& env, const std::string& target, SimDuration durat
   RunClosedLoop(env, target, /*connections=*/1, duration, warmup);
   env.controller.StopProfiling();
 
-  const std::vector<Trace> traces = env.controller.CollectTraces();
+  const std::vector<Trace> traces = env.controller.metrics().CollectTraces();
   bool exported = export_path.empty();
   for (const Trace& trace : traces) {
     if (!trace.complete() || trace.workflow() != target) {
@@ -67,7 +67,8 @@ Phase ProfileAndDecompose(Env& env, const std::string& target, SimDuration durat
     }
   }
 
-  Result<WorkflowLatencySummary> summary = env.controller.SummarizeWorkflowLatency(target);
+  Result<WorkflowLatencySummary> summary =
+      env.controller.metrics().SummarizeWorkflowLatency(target);
   if (summary.ok()) {
     phase.summary = std::move(summary).value();
   } else {

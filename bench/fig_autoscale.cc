@@ -88,24 +88,22 @@ ScenarioResult RunScenario(bool elastic, int decision_threads, bool smoke) {
   // capacity, so "peak-sized" is literal and the fleets differ only in how
   // they pay for the medium and trough phases.
   options.max_scale = kStaticNodes;
-  if (elastic) {
-    options.autoscaler.enabled = true;
-    options.autoscaler.min_nodes = 1;
-    options.autoscaler.max_nodes = kStaticNodes;
-    options.autoscaler.warm_pool = 1;
-    options.autoscaler.node_cpu = kNodeCpu;
-    options.autoscaler.node_memory_mb = kNodeMemoryMb;
-    options.autoscaler.evaluate_interval = Milliseconds(250);
-    options.autoscaler.scale_up_ticks = 1;
-    options.autoscaler.provisioning_delay = Seconds(1);
-    options.autoscaler.scale_down_idle_ticks = 4;  // ~1 s of surplus per shed.
-  } else {
-    options.max_nodes = kStaticNodes;
-    options.node_cpu = kNodeCpu;
-    options.node_memory_mb = kNodeMemoryMb;
-  }
   PlatformConfig config;
   config.pricing = PricingProfile::PerMillisecond();
+  config.node_cpu = kNodeCpu;
+  config.node_memory_mb = kNodeMemoryMb;
+  if (elastic) {
+    config.autoscaler.enabled = true;
+    config.autoscaler.min_nodes = 1;
+    config.autoscaler.max_nodes = kStaticNodes;
+    config.autoscaler.warm_pool = 1;
+    config.autoscaler.evaluate_interval = Milliseconds(250);
+    config.autoscaler.scale_up_ticks = 1;
+    config.autoscaler.provisioning_delay = Seconds(1);
+    config.autoscaler.scale_down_idle_ticks = 4;  // ~1 s of surplus per shed.
+  } else {
+    config.max_nodes = kStaticNodes;
+  }
   Env env(options, config);
 
   const Status registered = env.controller.RegisterWorkflow(ScaleApp());

@@ -188,7 +188,7 @@ SweepRow RunLambda(double lambda, const PricingProfile& card, double profile_rps
   row.p99 = measured.latency.P99();
   row.exact = CheckExactSum(env.platform.cost_meter());
 
-  const QuiltController::CostReport report = env.controller.CollectCostReport();
+  const QuiltController::CostReport report = env.controller.metrics().CollectCostReport();
   row.total_nanos = report.invocation_nanos;
   row.attempts = report.invocation_attempts;
   if (measured.completed > 0) {

@@ -36,7 +36,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/sim/legacy_event_loop.h"
+#include "tests/sim/legacy_event_loop.h"
 #include "src/sim/simulation.h"
 
 namespace {

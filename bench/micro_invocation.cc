@@ -1,6 +1,7 @@
-// Microbenchmarks (google-benchmark): the primitive costs behind the
-// paper's headline claim that merged invocations take nanoseconds instead of
-// milliseconds (§1), plus the hot paths of the decision machinery.
+// Microbenchmarks (google-benchmark): host-time costs of the payload,
+// histogram and decision-machinery hot paths. The simulated local-vs-remote
+// call cost behind the paper's headline claim (§1) is measured end to end by
+// fig1_latency_breakdown; the event core by micro_eventloop.
 #include <benchmark/benchmark.h>
 
 #include "src/common/histogram.h"
@@ -8,43 +9,11 @@
 #include "src/graph/descendants.h"
 #include "src/graph/random_dag.h"
 #include "src/ilp/ilp_solver.h"
-#include "src/platform/platform.h"
 #include "src/partition/ilp_encoding.h"
 #include "src/partition/scorers.h"
-#include "src/runtime/executor.h"
-#include "src/sim/simulation.h"
 
 namespace quilt {
 namespace {
-
-// Virtual-time cost of a localized (merged) call vs the full remote path.
-// Reported as "items" of simulated nanoseconds per invocation.
-void BM_SimulatedLocalCallPath(benchmark::State& state) {
-  RuntimeCosts costs;
-  SimDuration total = 0;
-  for (auto _ : state) {
-    total += costs.local_call_overhead;
-    benchmark::DoNotOptimize(total);
-  }
-  state.counters["sim_ns_per_call"] = static_cast<double>(costs.local_call_overhead);
-}
-BENCHMARK(BM_SimulatedLocalCallPath);
-
-void BM_SimulatedRemoteCallPath(benchmark::State& state) {
-  // serialize + rtt/2 + gateway (x2 for the response) + handler work, taken
-  // from the platform's default configuration.
-  const PlatformConfig config;
-  const SimDuration remote_path =
-      2 * (config.serialize_latency + config.network_rtt / 2 + config.gateway_overhead) +
-      Milliseconds(config.runtime.handler_cpu_ms + config.runtime.invoke_cpu_ms);
-  SimDuration total = 0;
-  for (auto _ : state) {
-    total += remote_path;
-    benchmark::DoNotOptimize(total);
-  }
-  state.counters["sim_ns_per_call"] = static_cast<double>(remote_path);
-}
-BENCHMARK(BM_SimulatedRemoteCallPath);
 
 void BM_JsonPayloadRoundTrip(benchmark::State& state) {
   Json payload = Json::MakeObject();
@@ -111,20 +80,6 @@ void BM_Phase2IlpSmall(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Phase2IlpSmall);
-
-void BM_EventLoopThroughput(benchmark::State& state) {
-  for (auto _ : state) {
-    Simulation sim;
-    int fired = 0;
-    for (int i = 0; i < 1000; ++i) {
-      sim.Schedule(i, [&fired] { ++fired; });
-    }
-    sim.Run();
-    benchmark::DoNotOptimize(fired);
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_EventLoopThroughput);
 
 }  // namespace
 }  // namespace quilt

@@ -8,7 +8,7 @@
 
 #include "src/apps/app.h"
 #include "src/core/quilt_controller.h"
-#include "src/quiltc/compiler.h"
+#include "src/quiltc/compile_service.h"
 #include "src/common/strings.h"
 #include "src/workload/loadgen.h"
 
@@ -68,7 +68,11 @@ int main() {
   }
 
   std::printf("== merging %zu functions across 5 languages ==\n", app.functions.size());
-  QuiltCompiler compiler;
+  // One-shot compile: caches off, every call builds from scratch.
+  CompileServiceOptions uncached;
+  uncached.ir_cache = false;
+  uncached.artifact_cache = false;
+  CompileService compiler(uncached);
   Result<MergedArtifact> artifact =
       compiler.MergeGroup(*graph, FullMergeSolution(*graph).groups[0], app.Sources());
   if (!artifact.ok()) {

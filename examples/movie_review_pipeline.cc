@@ -109,7 +109,7 @@ int main() {
                                  static_cast<double>(baseline.latency.Median())));
 
   std::printf("\n== rollback (§8) ==\n");
-  if (Status s = controller.Rollback(app.root_handle); !s.ok()) {
+  if (Status s = controller.RollbackDeployment(app.root_handle); !s.ok()) {
     std::printf("rollback failed: %s\n", s.ToString().c_str());
     return 1;
   }

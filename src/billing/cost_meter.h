@@ -41,7 +41,7 @@ class CostMeter {
   int64_t MeterAttempt(const std::string& handle, int64_t exec_us, int64_t cold_us,
                        double memory_limit_mb, double cpu_limit, bool canary);
 
-  // --- Raw vCPU-seconds ledger (retired Platform::BillCpu home). ---
+  // --- Raw vCPU-seconds ledger, fed by the executor's bill_cpu hook. ---
   void BillCpu(const std::string& handle, double cpu_ms);
   // 0.0 for handles that never billed.
   double BilledCpuSeconds(const std::string& handle) const;

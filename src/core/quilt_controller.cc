@@ -51,18 +51,6 @@ Status ControllerOptions::Validate() const {
   if (max_scale < 1) {
     return InvalidArgumentError("max_scale must be >= 1");
   }
-  if (max_nodes < 0) {
-    return InvalidArgumentError("max_nodes must be >= 0 (0 = infinite pool)");
-  }
-  if (max_nodes > 0 && (node_cpu <= 0.0 || node_memory_mb <= 0.0)) {
-    return InvalidArgumentError(
-        "a finite fleet (max_nodes > 0) requires positive node_cpu and node_memory_mb");
-  }
-  QUILT_RETURN_IF_ERROR(autoscaler.Validate());
-  if (autoscaler.enabled && max_nodes > 0) {
-    return InvalidArgumentError(
-        "the autoscaler and a static finite fleet (max_nodes > 0) are mutually exclusive");
-  }
   if (cost.cost_weight < 0.0 || cost.cost_weight > 1.0) {
     return InvalidArgumentError("cost.cost_weight (lambda) must be in [0, 1]");
   }
@@ -102,20 +90,6 @@ QuiltController::QuiltController(Simulation* sim, Platform* platform, Controller
   // ... and, when the platform runs a finite node fleet, per-node
   // utilization/stranding (empty while the infinite pool is in effect).
   monitor_.set_node_source([platform] { return platform->SampleNodes(); });
-  // Worker-node model: shard the platform into finite nodes -- or arm the
-  // elastic autoscaler -- before the first deployment spawns a container.
-  // Invalid options configure nothing; the typed error surfaces from
-  // RegisterWorkflow instead of building a broken fleet.
-  if (options_status_.ok()) {
-    if (options_.max_nodes > 0) {
-      platform_->ConfigureNodes(options_.node_cpu, options_.node_memory_mb, options_.max_nodes,
-                                options_.placement_policy);
-    } else if (options_.autoscaler.enabled && platform_->autoscaler() == nullptr) {
-      const Status armed = platform_->EnableAutoscaler(options_.autoscaler);
-      assert(armed.ok());
-      (void)armed;
-    }
-  }
 }
 
 namespace {
@@ -279,38 +253,6 @@ Result<CallGraph> QuiltController::BuildCallGraph(const std::string& root_handle
   return BuildCallGraphFromTraces(spans, metrics_store_.Aggregate(), root_handle);
 }
 
-std::vector<Trace> QuiltController::CollectTraces() {
-  tracer_.Flush();
-  return AssembleTraces(span_store_.Query(profile_window_start_, sim_->now() + 1));
-}
-
-Result<WorkflowLatencySummary> QuiltController::SummarizeWorkflowLatency(
-    const std::string& root_handle, TraceVersionFilter filter) {
-  if (app_of_handle_.count(root_handle) == 0) {
-    return NotFoundError(StrCat("workflow root '", root_handle, "' not registered"));
-  }
-  WorkflowLatencySummary summary =
-      quilt::SummarizeWorkflowLatency(root_handle, CollectTraces(), sim_->now(), filter);
-  if (summary.traces == 0) {
-    // Typed as transient: an empty window means "wait for traffic", not an
-    // operator error. The autopilot holds instead of alarming on this.
-    return UnavailableError(StrCat("no complete ", TraceVersionFilterName(filter),
-                                   " traces of workflow '", root_handle,
-                                   "' in the profile window"));
-  }
-  metrics_store_.AddWorkflowLatency(summary);
-  return summary;
-}
-
-Result<std::string> QuiltController::ExportTraceChrome(int64_t trace_id) {
-  for (const Trace& trace : CollectTraces()) {
-    if (trace.trace_id == trace_id) {
-      return ExportChromeTrace(trace);
-    }
-  }
-  return NotFoundError(StrCat("no trace ", trace_id, " in the profile window"));
-}
-
 Result<MergeSolution> QuiltController::Decide(const CallGraph& graph) {
   return DecideWithTrigger(graph, "decide");
 }
@@ -398,12 +340,12 @@ Status QuiltController::DeployMerged(const CallGraph& graph, const MergeSolution
   }
 
   // Record what is live so the merge monitor can detect drift/misbehavior.
-  RecordDeployed(graph, solution, workflow_root);
-  return Status::Ok();
+  return RecordDeployed(*app, graph, solution, workflow_root);
 }
 
-void QuiltController::RecordDeployed(const CallGraph& graph, const MergeSolution& solution,
-                                     const std::string& workflow_root) {
+Status QuiltController::RecordDeployed(const WorkflowApp& app, const CallGraph& graph,
+                                       const MergeSolution& solution,
+                                       const std::string& workflow_root) {
   DeployedState state;
   state.signature = SolutionSignature(graph, solution);
   state.graph = graph;
@@ -416,7 +358,24 @@ void QuiltController::RecordDeployed(const CallGraph& graph, const MergeSolution
     const DeploymentStats* stats = platform_->StatsFor(group_root);
     state.oom_baseline[group_root] = stats != nullptr ? stats->oom_kills : 0;
   }
+  // Formerly-merged group roots the new plan no longer merges revert to
+  // their original single-function image (updating only the plan's merged
+  // roots would leave them serving the old merged binary).
+  auto deployed_it = deployed_.find(workflow_root);
+  if (deployed_it != deployed_.end()) {
+    for (const auto& [group_root, baseline] : deployed_it->second.oom_baseline) {
+      if (state.oom_baseline.count(group_root) > 0) {
+        continue;
+      }
+      Result<DeploymentSpec> spec = BaselineSpec(app, group_root);
+      if (!spec.ok()) {
+        return spec.status();
+      }
+      QUILT_RETURN_IF_ERROR(platform_->UpdateFunction(std::move(spec).value()));
+    }
+  }
   deployed_[workflow_root] = std::move(state);
+  return Status::Ok();
 }
 
 Result<MergeSolution> QuiltController::OptimizeWorkflow(const std::string& root_handle) {
@@ -496,49 +455,41 @@ Result<QuiltController::ReconsiderReport> QuiltController::ReconsiderWorkflow(
     const DeploymentStats* stats = platform_->StatsFor(group_root);
     if (stats != nullptr && stats->oom_kills > baseline) {
       // Build the report first: group_root/baseline point into the
-      // DeployedState that the erase below destroys, and Rollback may drop
-      // the stats entry behind `stats`.
+      // DeployedState that the revert destroys, and the revert may drop the
+      // stats entry behind `stats`.
       report.rolled_back = true;
       report.reason = StrCat("merged function '", group_root, "' exceeded its memory limit ",
                              stats->oom_kills - baseline, " time(s)");
-      QUILT_RETURN_IF_ERROR(Rollback(root_handle));
-      deployed_.erase(root_handle);
+      QUILT_RETURN_IF_ERROR(RevertToBaseline(root_handle, /*reimage_unmerged=*/false));
       return report;
     }
   }
 
-  // 2. Workload drift: reconstruct the workflow's true call graph from the
-  //    deployed graph plus what the current window observed (client arrivals
-  //    and conditional-invocation fallbacks), then re-run the decision.
-  Result<CallGraph> graph = UpdatedGraphFromObservations(deployed_it->second, root_handle);
-  if (!graph.ok()) {
-    if (graph.status().code() == StatusCode::kUnavailable) {
+  // 2. Workload drift: re-decide on the deployed graph plus what the current
+  //    window observed (client arrivals and conditional-invocation
+  //    fallbacks), exactly as the autopilot proposes a plan.
+  Result<ProposedPlan> plan = Propose(root_handle, "reconsider", "reconsider");
+  if (!plan.ok()) {
+    if (plan.status().code() == StatusCode::kUnavailable) {
       // An empty profile window is not drift (and not misbehavior): there is
       // nothing fresh to learn from, so the deployed merge stands.
       report.reason = "profile window holds no fresh traces; keeping the current merge";
       return report;
     }
-    return graph.status();
+    return plan.status();
   }
-  Result<MergeSolution> solution = DecideWithTrigger(*graph, "reconsider");
-  if (!solution.ok()) {
-    return solution.status();
-  }
-  const std::string signature = SolutionSignature(*graph, *solution);
-  if (signature == deployed_it->second.signature) {
+  if (!plan->changed) {
     report.reason = "profile unchanged; keeping the current merge";
     return report;
   }
-  const WorkflowApp* app = AppForHandle(root_handle);
-  if (app == nullptr) {
-    return NotFoundError(StrCat("workflow root '", root_handle, "' not registered"));
+  if (plan->merged_groups == 0) {
+    // The optimum for the new profile is the unmerged baseline.
+    QUILT_RETURN_IF_ERROR(RevertToBaseline(root_handle, /*reimage_unmerged=*/false));
+    report.rolled_back = true;
+    report.reason = "workload profile changed; the unmerged baseline is optimal";
+    return report;
   }
-  Result<std::vector<MergedArtifact>> artifacts =
-      CompileSolution(*graph, *solution, app->Sources(), root_handle, "reconsider");
-  if (!artifacts.ok()) {
-    return artifacts.status();
-  }
-  QUILT_RETURN_IF_ERROR(DeployMerged(*graph, *solution, *artifacts, root_handle));
+  QUILT_RETURN_IF_ERROR(DeployMerged(plan->graph, plan->solution, plan->artifacts, root_handle));
   report.redeployed = true;
   report.reason = "workload profile changed; merged functions rebuilt";
   return report;
@@ -604,6 +555,12 @@ Result<CallGraph> QuiltController::UpdatedGraphFromObservations(
 
 Result<QuiltController::ProposedPlan> QuiltController::ProposePlan(
     const std::string& root_handle) {
+  return Propose(root_handle, "autopilot", "canary");
+}
+
+Result<QuiltController::ProposedPlan> QuiltController::Propose(
+    const std::string& root_handle, const std::string& decision_trigger,
+    const std::string& compile_trigger) {
   if (app_of_handle_.count(root_handle) == 0) {
     return NotFoundError(StrCat("workflow root '", root_handle, "' not registered"));
   }
@@ -615,7 +572,7 @@ Result<QuiltController::ProposedPlan> QuiltController::ProposePlan(
   if (!graph.ok()) {
     return graph.status();
   }
-  Result<MergeSolution> solution = DecideWithTrigger(*graph, "autopilot");
+  Result<MergeSolution> solution = DecideWithTrigger(*graph, decision_trigger);
   if (!solution.ok()) {
     return solution.status();
   }
@@ -640,7 +597,7 @@ Result<QuiltController::ProposedPlan> QuiltController::ProposePlan(
       return NotFoundError(StrCat("workflow root '", root_handle, "' not registered"));
     }
     Result<std::vector<MergedArtifact>> artifacts =
-        CompileSolution(plan.graph, plan.solution, app->Sources(), root_handle, "canary");
+        CompileSolution(plan.graph, plan.solution, app->Sources(), root_handle, compile_trigger);
     if (!artifacts.ok()) {
       return artifacts.status();
     }
@@ -716,23 +673,8 @@ Status QuiltController::PromoteCanaryPlan(const std::string& root_handle) {
   for (const std::string& staged : it->second.staged_roots) {
     QUILT_RETURN_IF_ERROR(platform_->PromoteCanary(staged));
   }
-  // Formerly-merged group roots the new plan no longer merges revert to
-  // their original single-function image.
-  auto deployed_it = deployed_.find(root_handle);
-  if (deployed_it != deployed_.end()) {
-    for (const auto& [group_root, baseline] : deployed_it->second.oom_baseline) {
-      if (std::find(it->second.staged_roots.begin(), it->second.staged_roots.end(),
-                    group_root) != it->second.staged_roots.end()) {
-        continue;
-      }
-      Result<DeploymentSpec> spec = BaselineSpec(*app, group_root);
-      if (!spec.ok()) {
-        return spec.status();
-      }
-      QUILT_RETURN_IF_ERROR(platform_->UpdateFunction(std::move(spec).value()));
-    }
-  }
-  RecordDeployed(it->second.plan.graph, it->second.plan.solution, root_handle);
+  QUILT_RETURN_IF_ERROR(
+      RecordDeployed(*app, it->second.plan.graph, it->second.plan.solution, root_handle));
   pending_canary_.erase(it);
   return Status::Ok();
 }
@@ -822,26 +764,32 @@ std::vector<std::string> QuiltController::WorkflowFunctionHandles(
   return handles;
 }
 
-QuiltController::CostReport QuiltController::CollectCostReport() {
-  CostReport report;
-  CostMeter& meter = platform_->cost_meter();
-  report.records = meter.Records();
-  for (const CostRecord& record : report.records) {
-    metrics_store_.AddCost(record);
-  }
-  report.invocation_nanos = meter.TotalNanos();
-  report.invocation_attempts = meter.TotalAttempts();
-  const CostMeter::InfraCost infra = meter.InfraCostFromNodes(metrics_store_.node_samples());
-  report.infra_nanos = infra.node_nanos;
-  report.infra_idle_nanos = infra.idle_nanos;
-  return report;
+Status QuiltController::RollbackDeployment(const std::string& root_handle) {
+  return RevertToBaseline(root_handle, /*reimage_unmerged=*/true);
 }
 
-Status QuiltController::RollbackDeployment(const std::string& root_handle) {
+Status QuiltController::RevertToBaseline(const std::string& root_handle,
+                                         bool reimage_unmerged) {
+  const WorkflowApp* app = AppForHandle(root_handle);
+  if (app == nullptr) {
+    return NotFoundError(StrCat("workflow root '", root_handle, "' not registered"));
+  }
+  // A staged canary plan is built on what is being reverted: drop it first.
   if (pending_canary_.count(root_handle) > 0) {
     QUILT_RETURN_IF_ERROR(AbortCanaryPlan(root_handle));
   }
-  QUILT_RETURN_IF_ERROR(Rollback(root_handle));
+  if (!reimage_unmerged && deployed_.count(root_handle) == 0) {
+    return Status::Ok();
+  }
+  // Replace every handle with its original single-function image. Handles
+  // that were never merged are refreshed harmlessly.
+  for (const AppFunctionSpec& fn : app->functions) {
+    Result<DeploymentSpec> spec = BaselineSpec(*app, fn.handle);
+    if (!spec.ok()) {
+      return spec.status();
+    }
+    QUILT_RETURN_IF_ERROR(platform_->UpdateFunction(std::move(spec).value()));
+  }
   deployed_.erase(root_handle);
   return Status::Ok();
 }
@@ -857,16 +805,9 @@ Status QuiltController::RevokeMergePermission(const std::string& handle) {
       fn.mergeable = false;
     }
   }
-  // Any staged canary plan may contain the function too: drop it first.
-  if (pending_canary_.count(app.root_handle) > 0) {
-    QUILT_RETURN_IF_ERROR(AbortCanaryPlan(app.root_handle));
-  }
-  // Any live merge containing the function reverts to the originals.
-  if (deployed_.count(app.root_handle) > 0) {
-    QUILT_RETURN_IF_ERROR(Rollback(app.root_handle));
-    deployed_.erase(app.root_handle);
-  }
-  return Status::Ok();
+  // Any staged canary plan or live merge may contain the function: both
+  // revert to the originals.
+  return RevertToBaseline(app.root_handle, /*reimage_unmerged=*/false);
 }
 
 Status QuiltController::UpdateFunctionSource(const std::string& handle,
@@ -883,15 +824,12 @@ Status QuiltController::UpdateFunctionSource(const std::string& handle,
       fn.mergeable = source.mergeable;
     }
   }
-  // A staged canary plan was built from the old sources: it is stale too.
-  if (pending_canary_.count(app.root_handle) > 0) {
-    QUILT_RETURN_IF_ERROR(AbortCanaryPlan(app.root_handle));
-  }
-  if (deployed_.count(app.root_handle) > 0) {
-    // Merged binaries containing the old code are stale (§1.1): revert; the
-    // provider re-optimizes in the background later.
-    QUILT_RETURN_IF_ERROR(Rollback(app.root_handle));
-    deployed_.erase(app.root_handle);
+  // Merged binaries -- live or staged as a canary -- containing the old code
+  // are stale (§1.1): revert; the provider re-optimizes in the background
+  // later.
+  const bool merged = deployed_.count(app.root_handle) > 0;
+  QUILT_RETURN_IF_ERROR(RevertToBaseline(app.root_handle, /*reimage_unmerged=*/false));
+  if (merged) {
     return Status::Ok();
   }
   // No merge live: just refresh the single-function image.
@@ -900,23 +838,6 @@ Status QuiltController::UpdateFunctionSource(const std::string& handle,
     return spec.status();
   }
   return platform_->UpdateFunction(std::move(spec).value());
-}
-
-Status QuiltController::Rollback(const std::string& workflow_root) {
-  const WorkflowApp* app = AppForHandle(workflow_root);
-  if (app == nullptr) {
-    return NotFoundError(StrCat("workflow root '", workflow_root, "' not registered"));
-  }
-  // Replace every handle with its original single-function image. Handles
-  // that were never merged are refreshed harmlessly.
-  for (const AppFunctionSpec& fn : app->functions) {
-    Result<DeploymentSpec> spec = BaselineSpec(*app, fn.handle);
-    if (!spec.ok()) {
-      return spec.status();
-    }
-    QUILT_RETURN_IF_ERROR(platform_->UpdateFunction(std::move(spec).value()));
-  }
-  return Status::Ok();
 }
 
 Status QuiltController::DeployContainerMerge(const WorkflowApp& app, double memory_limit_mb) {
@@ -954,6 +875,56 @@ Status QuiltController::DeployContainerMerge(const WorkflowApp& app, double memo
       10.0 + platform_->config().runtime.cm_process_base_mb;
   spec.behavior.merged = std::move(merged);
   return platform_->UpdateFunction(std::move(spec));
+}
+
+std::vector<Trace> MetricsView::CollectTraces() {
+  QuiltController& c = *controller_;
+  c.tracer_.Flush();
+  return AssembleTraces(c.span_store_.Query(c.profile_window_start_, c.sim_->now() + 1));
+}
+
+Result<WorkflowLatencySummary> MetricsView::SummarizeWorkflowLatency(
+    const std::string& root_handle, TraceVersionFilter filter) {
+  QuiltController& c = *controller_;
+  if (!c.HasFunction(root_handle)) {
+    return NotFoundError(StrCat("workflow root '", root_handle, "' not registered"));
+  }
+  WorkflowLatencySummary summary =
+      quilt::SummarizeWorkflowLatency(root_handle, CollectTraces(), c.sim_->now(), filter);
+  if (summary.traces == 0) {
+    // Typed as transient: an empty window means "wait for traffic", not an
+    // operator error. The autopilot holds instead of alarming on this.
+    return UnavailableError(StrCat("no complete ", TraceVersionFilterName(filter),
+                                   " traces of workflow '", root_handle,
+                                   "' in the profile window"));
+  }
+  c.metrics_store_.AddWorkflowLatency(summary);
+  return summary;
+}
+
+Result<std::string> MetricsView::ExportTraceChrome(int64_t trace_id) {
+  for (const Trace& trace : CollectTraces()) {
+    if (trace.trace_id == trace_id) {
+      return ExportChromeTrace(trace);
+    }
+  }
+  return NotFoundError(StrCat("no trace ", trace_id, " in the profile window"));
+}
+
+QuiltController::CostReport MetricsView::CollectCostReport() {
+  QuiltController& c = *controller_;
+  QuiltController::CostReport report;
+  CostMeter& meter = c.platform_->cost_meter();
+  report.records = meter.Records();
+  for (const CostRecord& record : report.records) {
+    c.metrics_store_.AddCost(record);
+  }
+  report.invocation_nanos = meter.TotalNanos();
+  report.invocation_attempts = meter.TotalAttempts();
+  const CostMeter::InfraCost infra = meter.InfraCostFromNodes(c.metrics_store_.node_samples());
+  report.infra_nanos = infra.node_nanos;
+  report.infra_idle_nanos = infra.idle_nanos;
+  return report;
 }
 
 }  // namespace quilt

@@ -10,7 +10,12 @@
 //   4. Merge runs the LLVM pipeline (§5) and DeployMerged replaces each
 //      group root's function through the platform's normal update mechanism
 //      (§5.5) -- the scheduler never learns a merge happened;
-//   5. Rollback restores the original function if the workload shifts (§8).
+//   5. RollbackDeployment restores the original functions if the workload
+//      shifts (§8).
+//
+// The fleet the functions run on (node geometry, static or elastic) is the
+// platform's business: it is configured once, on PlatformConfig, and the
+// controller accepts the platform as configured.
 #ifndef SRC_CORE_QUILT_CONTROLLER_H_
 #define SRC_CORE_QUILT_CONTROLLER_H_
 
@@ -39,21 +44,6 @@ struct ControllerOptions {
   double container_cpu_limit = 2.0;
   double container_memory_limit_mb = 128.0;
   int max_scale = 10;
-
-  // Worker-node model (§4, live): with max_nodes > 0 the controller shards
-  // its platform into that many finite nodes at construction; container
-  // spawns then bin-pack onto them under placement_policy. 0 keeps the
-  // infinite pool (seed behavior).
-  double node_cpu = 16.0;
-  double node_memory_mb = 32768.0;
-  int max_nodes = 0;
-  PlacementPolicy placement_policy = PlacementPolicy::kFirstFit;
-
-  // Elastic node pool (§4.14): mutually exclusive with max_nodes > 0. When
-  // enabled the controller arms the platform's NodeAutoscaler at
-  // construction; the fleet then grows from placement pressure and drains
-  // idle nodes instead of holding a static size.
-  AutoscalerOptions autoscaler;
 
   // Merge decision (§4), delegated to the DecisionEngine. kAuto picks by
   // graph size: exact solver up to optimal_solver_max_nodes, the DIH k-sweep
@@ -115,10 +105,10 @@ struct ControllerOptions {
 
   SimDuration monitor_interval = Seconds(1);
 
-  // Typed validation of the knob surface: rejects λ outside [0, 1], a finite
-  // fleet with non-positive node geometry, invalid autoscaler windows,
-  // non-positive limits/intervals. The controller constructor calls this and
-  // surfaces the error from RegisterWorkflow instead of silently misbehaving.
+  // Typed validation of the knob surface: rejects λ outside [0, 1] and
+  // non-positive limits/thread counts/intervals. The controller constructor
+  // calls this and surfaces the error from RegisterWorkflow instead of
+  // silently misbehaving.
   Status Validate() const;
 };
 
@@ -141,25 +131,6 @@ class QuiltController {
   bool profiling() const { return platform_->profiling(); }
   Result<CallGraph> BuildCallGraph(const std::string& root_handle);
 
-  // --- Observability on the current profile window (§3).
-  // Assembles the window's spans into per-request trace trees. Flushes the
-  // exporter first, so the result is deterministic regardless of where the
-  // batch timer stood when the run ended.
-  std::vector<Trace> CollectTraces();
-  // Latency decomposition percentiles for one workflow over the window;
-  // the summary is also appended to the MetricsStore. Status is typed so
-  // callers can distinguish operator error from a quiet window:
-  //   kNotFound     -- root_handle is not a registered function.
-  //   kUnavailable  -- window holds no complete trace (transient: the right
-  //                    reaction is "wait for traffic", not "alarm").
-  // `filter` restricts the summary to control- or canary-served traces
-  // during a two-version guard window.
-  Result<WorkflowLatencySummary> SummarizeWorkflowLatency(
-      const std::string& root_handle, TraceVersionFilter filter = TraceVersionFilter::kAll);
-  // Chrome trace-event JSON (chrome://tracing-loadable) for one trace id
-  // from the window.
-  Result<std::string> ExportTraceChrome(int64_t trace_id);
-
   // --- Decision (§4).
   Result<MergeSolution> Decide(const CallGraph& graph);
 
@@ -178,9 +149,6 @@ class QuiltController {
   // profiling; used by benchmarks that pin the grouping).
   Status DeploySolutionDirect(const WorkflowApp& app, const MergeSolution& solution);
 
-  // Restores the original (unmerged) functions of a workflow (§8).
-  Status Rollback(const std::string& workflow_root);
-
   // --- Merge monitoring (§1.1, §5.6, §8). Quilt keeps watching merged
   // workflows: big workload changes re-run the decision, misbehaving merged
   // containers (OOM kills) trigger a rollback, and revoked merge permission
@@ -192,7 +160,11 @@ class QuiltController {
   };
   // Re-examines a previously optimized workflow against the *current*
   // profile window. Call StartProfiling()/StopProfiling() around fresh
-  // traffic first.
+  // traffic first. The autopilot's policy with an immediate promote: an
+  // OOM-killed merge rolls back; otherwise the ProposePlan path re-decides
+  // (telemetry tagged trigger="reconsider"), a quiet window or an unchanged
+  // plan keeps the live merge, a plan that merges nothing rolls back, and any
+  // other plan goes live through DeployMerged.
   Result<ReconsiderReport> ReconsiderWorkflow(const std::string& root_handle);
 
   // --- Canary-guarded adaptation mechanisms (§4.9). The autopilot owns the
@@ -253,8 +225,9 @@ class QuiltController {
   // these handles, so summing the cost meter over them covers the workflow's
   // whole bill regardless of the live plan.
   std::vector<std::string> WorkflowFunctionHandles(const std::string& root_handle) const;
-  // Full revert to the unmerged baseline: aborts any staged canary, restores
-  // every function's original image and drops the deployment ledger entry.
+  // Full revert to the unmerged baseline (§8): aborts any staged canary,
+  // restores every function's original image and drops the deployment ledger
+  // entry. The one way to undo a merge.
   Status RollbackDeployment(const std::string& root_handle);
 
   // Developer revokes a function's merge permission: any merged deployment
@@ -270,10 +243,8 @@ class QuiltController {
   // process per function behind an internal API gateway.
   Status DeployContainerMerge(const WorkflowApp& app, double memory_limit_mb = 0.0);
 
-  // --- Billing (§8 metering -> dollars). Snapshots the platform's cost
-  // meter: per-handle bill lines (appended to the MetricsStore as canonical
-  // CostRecords) plus infrastructure dollars derived from the window's
-  // NodeSamples, so stranded capacity shows up as paid-but-idle money.
+  // --- Billing (§8 metering -> dollars): what metrics().CollectCostReport()
+  // returns.
   struct CostReport {
     std::vector<CostRecord> records;  // Sorted by handle.
     int64_t invocation_nanos = 0;     // Σ records.total_nanos, exact.
@@ -281,12 +252,9 @@ class QuiltController {
     int64_t infra_nanos = 0;          // Node-uptime dollars (node model only).
     int64_t infra_idle_nanos = 0;     // ... of which the CPUs sat idle.
   };
-  CostReport CollectCostReport();
 
-  // Read-only query facade over the observability surface (traces, latency
-  // summaries, exports, cost reports, record streams). Prefer this over the
-  // individual Collect*/Summarize*/Export* methods above, which remain for
-  // one release.
+  // The query surface over everything the controller observes: traces,
+  // latency summaries, Chrome exports, cost reports and the record streams.
   MetricsView metrics();
 
   // The typed verdict of ControllerOptions::Validate on the live options.
@@ -316,6 +284,9 @@ class QuiltController {
                                     const MergedArtifact& artifact) const;
 
  private:
+  // The query surface reads the profile window and the stores directly.
+  friend class MetricsView;
+
   const WorkflowApp* AppForHandle(const std::string& handle) const;
   double BaseMemoryMb(const BinaryImage& image) const;
   // Decide + decision telemetry: emits a DecisionRecord (tagged with the
@@ -370,9 +341,22 @@ class QuiltController {
   };
   std::map<std::string, PendingCanary> pending_canary_;
 
-  // Writes the deployment ledger entry for a live (graph, solution).
-  void RecordDeployed(const CallGraph& graph, const MergeSolution& solution,
-                      const std::string& workflow_root);
+  // Writes the deployment ledger entry for a (graph, solution) whose merged
+  // group roots already serve their new images, reverting formerly merged
+  // roots the solution no longer merges. Every path that makes a merge live
+  // (DeployMerged, PromoteCanaryPlan, ReconsiderWorkflow) ends here.
+  Status RecordDeployed(const WorkflowApp& app, const CallGraph& graph,
+                        const MergeSolution& solution, const std::string& workflow_root);
+
+  // ProposePlan's code path with the decision and compile records tagged
+  // by the caller (the autopilot's and ReconsiderWorkflow's share it).
+  Result<ProposedPlan> Propose(const std::string& root_handle,
+                               const std::string& decision_trigger,
+                               const std::string& compile_trigger);
+  // The one revert path: aborts a staged canary, then restores every
+  // function's original image and drops the ledger entry -- only when a merge
+  // is live, unless `reimage_unmerged`.
+  Status RevertToBaseline(const std::string& root_handle, bool reimage_unmerged);
 
   std::string SolutionSignature(const CallGraph& graph, const MergeSolution& solution) const;
   // Applies the current window's observations on top of the deployed graph.
@@ -380,27 +364,38 @@ class QuiltController {
                                                  const std::string& root_handle);
 };
 
-// Read-only query facade over a controller's observability surface: traces,
-// latency summaries, Chrome exports, cost reports, and the record streams
-// (decisions, adaptations, compiles, node samples, ...). Benches and the
-// autopilot consume this instead of reaching through four subsystems.
+// The controller's one query surface: traces, latency summaries, Chrome
+// exports, cost reports, and the record streams (decisions, adaptations,
+// compiles, node samples, ...). Benches, tests and the autopilot read
+// telemetry through this instead of reaching through four subsystems.
 // Lightweight handle: copyable, valid as long as the controller lives.
 class MetricsView {
  public:
   explicit MetricsView(QuiltController* controller) : controller_(controller) {}
 
-  // Assembled per-request trace trees of the current profile window.
-  std::vector<Trace> CollectTraces() { return controller_->CollectTraces(); }
+  // Assembles the profile window's spans into per-request trace trees.
+  // Flushes the exporter first, so the result is deterministic regardless of
+  // where the batch timer stood when the run ended. A window query, not a
+  // drain: repeated calls see the same traces.
+  std::vector<Trace> CollectTraces();
+  // Latency decomposition percentiles for one workflow over the window;
+  // the summary is also appended to the MetricsStore. Status is typed so
+  // callers can distinguish operator error from a quiet window:
+  //   kNotFound     -- root_handle is not a registered function.
+  //   kUnavailable  -- window holds no complete trace (transient: the right
+  //                    reaction is "wait for traffic", not "alarm").
+  // `filter` restricts the summary to control- or canary-served traces
+  // during a two-version guard window.
   Result<WorkflowLatencySummary> SummarizeWorkflowLatency(
-      const std::string& root_handle, TraceVersionFilter filter = TraceVersionFilter::kAll) {
-    return controller_->SummarizeWorkflowLatency(root_handle, filter);
-  }
-  Result<std::string> ExportTraceChrome(int64_t trace_id) {
-    return controller_->ExportTraceChrome(trace_id);
-  }
-  QuiltController::CostReport CollectCostReport() {
-    return controller_->CollectCostReport();
-  }
+      const std::string& root_handle, TraceVersionFilter filter = TraceVersionFilter::kAll);
+  // Chrome trace-event JSON (chrome://tracing-loadable) for one trace id
+  // from the window.
+  Result<std::string> ExportTraceChrome(int64_t trace_id);
+  // Snapshots the platform's cost meter: per-handle bill lines (appended to
+  // the MetricsStore as canonical CostRecords) plus infrastructure dollars
+  // derived from the window's NodeSamples, so stranded capacity shows up as
+  // paid-but-idle money.
+  QuiltController::CostReport CollectCostReport();
 
   // Record streams from the MetricsStore.
   const std::vector<DecisionRecord>& decisions() const {

@@ -37,12 +37,6 @@ Status AutoscalerOptions::Validate() const {
   if (scale_down_idle_ticks < 1) {
     return InvalidArgumentError("autoscaler.scale_down_idle_ticks must be >= 1");
   }
-  if (node_cpu <= 0.0) {
-    return InvalidArgumentError("autoscaler.node_cpu must be positive");
-  }
-  if (node_memory_mb <= 0.0) {
-    return InvalidArgumentError("autoscaler.node_memory_mb must be positive");
-  }
   return Status::Ok();
 }
 
@@ -142,9 +136,9 @@ void NodeAutoscaler::ScaleUp(int64_t queue_depth) {
   // Nodes needed to absorb the uncovered resource demand, at least one.
   int needed = 1;
   needed = std::max(
-      needed, static_cast<int>(std::ceil(uncovered_cpu / options_.node_cpu)));
+      needed, static_cast<int>(std::ceil(uncovered_cpu / placement.node_cpu())));
   needed = std::max(
-      needed, static_cast<int>(std::ceil(uncovered_memory_mb / options_.node_memory_mb)));
+      needed, static_cast<int>(std::ceil(uncovered_memory_mb / placement.node_memory_mb())));
   needed -= placement.ProvisioningNodes();
   // Flip drain candidates back first: uncordoning is free and instant,
   // provisioning costs a cold-node delay. Ascending id keeps it deterministic.

@@ -26,7 +26,6 @@
 
 #include "src/common/sim_time.h"
 #include "src/common/status.h"
-#include "src/platform/placement.h"
 #include "src/sim/simulation.h"
 
 namespace quilt {
@@ -53,15 +52,12 @@ struct AutoscalerOptions {
   SimDuration provisioning_delay = Seconds(1);
   // Consecutive surplus ticks before cordoning one drain candidate.
   int scale_down_idle_ticks = 8;
-  // Node geometry and packing policy for the elastic fleet (mirrors the
-  // static-fleet knobs on PlatformConfig, which are mutually exclusive with
-  // this -- Validate rejects enabling both).
-  double node_cpu = 16.0;
-  double node_memory_mb = 32768.0;
-  PlacementPolicy placement_policy = PlacementPolicy::kFirstFit;
+  // Node geometry and packing policy are not repeated here: every node the
+  // autoscaler provisions takes PlatformConfig::node_cpu/node_memory_mb/
+  // placement_policy, the same fields the static fleet reads.
 
-  // Rejects non-positive geometry/intervals and a ceiling below the floor.
-  // Always Ok when `enabled` is false (an unused struct cannot be invalid).
+  // Rejects non-positive intervals and a ceiling below the floor. Always Ok
+  // when `enabled` is false (an unused struct cannot be invalid).
   Status Validate() const;
 };
 

@@ -12,9 +12,10 @@ Status PlatformConfig::Validate() const {
   if (max_nodes < 0) {
     return InvalidArgumentError("max_nodes must be >= 0 (0 = infinite pool)");
   }
-  if (max_nodes > 0 && (node_cpu <= 0.0 || node_memory_mb <= 0.0)) {
+  if ((max_nodes > 0 || autoscaler.enabled) && (node_cpu <= 0.0 || node_memory_mb <= 0.0)) {
     return InvalidArgumentError(
-        "a finite fleet (max_nodes > 0) requires positive node_cpu and node_memory_mb");
+        "a finite fleet (max_nodes > 0 or the autoscaler) requires positive node_cpu and "
+        "node_memory_mb");
   }
   if (container_utilization_threshold <= 0.0 || container_utilization_threshold > 1.0) {
     return InvalidArgumentError("container_utilization_threshold must be in (0, 1]");
@@ -51,16 +52,19 @@ Platform::Platform(Simulation* sim, PlatformConfig config)
       failure_rng_(config_.fault_plan.seed * 0x9e3779b97f4a7c15ull + 1),
       cost_meter_(config_.pricing) {
   config_status_ = config_.Validate();
-  placement_.Configure(config_.node_cpu, config_.node_memory_mb, config_.max_nodes,
-                       config_.placement_policy);
   if (config_status_.ok() && config_.autoscaler.enabled) {
-    const Status armed = EnableAutoscaler(config_.autoscaler);
-    assert(armed.ok());
-    (void)armed;
+    // Elastic fleet: the engine starts empty and the autoscaler provisions
+    // its floor now, before the first deployment spawns a container.
+    placement_.ConfigureElastic(config_.node_cpu, config_.node_memory_mb,
+                                config_.placement_policy);
+    autoscaler_ = std::make_unique<NodeAutoscaler>(sim_, this, config_.autoscaler);
+    autoscaler_->Start();
+  } else {
+    placement_.Configure(config_.node_cpu, config_.node_memory_mb, config_.max_nodes,
+                         config_.placement_policy);
   }
   // Scheduled deterministic node failures: at the planned instant the node
-  // dies with everything on it. (No-ops while the node model is off; a later
-  // ConfigureNodes call arms them retroactively.)
+  // dies with everything on it. (No-ops while the node model is off.)
   for (const NodeFailureEvent& failure : config_.fault_plan.node_failures) {
     const int node_id = failure.node_id;
     sim_->Schedule(std::max<SimDuration>(0, failure.at - sim_->now()),
@@ -306,20 +310,6 @@ std::vector<ResourceSample> Platform::SampleResources() const {
   return samples;
 }
 
-void Platform::BillCpu(const std::string& function_handle, double cpu_ms) {
-  cost_meter_.BillCpu(function_handle, cpu_ms);
-}
-
-double Platform::BilledCpuSeconds(const std::string& function_handle) const {
-  return cost_meter_.BilledCpuSeconds(function_handle);
-}
-
-std::map<std::string, double> Platform::billing_ledger() const {
-  // The meter tracks every handle that ever billed -- including exact-zero
-  // accruals, which the old HandleId->double vector silently dropped.
-  return cost_meter_.CpuLedger();
-}
-
 double Platform::TotalMemoryInUseMb() const {
   double total = 0.0;
   for (const auto& dep : deployments_) {
@@ -341,17 +331,6 @@ int Platform::TotalContainers() const {
     }
   }
   return total;
-}
-
-void Platform::ConfigureNodes(double node_cpu, double node_memory_mb, int max_nodes,
-                              PlacementPolicy policy) {
-  assert(TotalContainers() == 0 &&
-         "ConfigureNodes must run before any container exists");
-  config_.node_cpu = node_cpu;
-  config_.node_memory_mb = node_memory_mb;
-  config_.max_nodes = max_nodes;
-  config_.placement_policy = policy;
-  placement_.Configure(node_cpu, node_memory_mb, max_nodes, policy);
 }
 
 std::vector<NodeSample> Platform::SampleNodes() const {
@@ -621,28 +600,6 @@ int Platform::BusyNodes() const {
     }
   }
   return count;
-}
-
-Status Platform::EnableAutoscaler(const AutoscalerOptions& options) {
-  QUILT_RETURN_IF_ERROR(options.Validate());
-  if (!options.enabled) {
-    return InvalidArgumentError("EnableAutoscaler requires options.enabled");
-  }
-  if (autoscaler_ != nullptr) {
-    return AlreadyExistsError("autoscaler already enabled");
-  }
-  assert(TotalContainers() == 0 &&
-         "EnableAutoscaler must run before any container exists");
-  config_.autoscaler = options;
-  config_.node_cpu = options.node_cpu;
-  config_.node_memory_mb = options.node_memory_mb;
-  config_.placement_policy = options.placement_policy;
-  config_.max_nodes = 0;  // The fleet is elastic; the static knob is moot.
-  placement_.ConfigureElastic(options.node_cpu, options.node_memory_mb,
-                              options.placement_policy);
-  autoscaler_ = std::make_unique<NodeAutoscaler>(sim_, this, options);
-  autoscaler_->Start();
-  return Status::Ok();
 }
 
 void Platform::Invoke(InvokeRequest&& request) {
@@ -1222,7 +1179,9 @@ void Platform::Dispatch(Deployment& dep, const std::shared_ptr<Container>& conta
       container->Kill();
     }
   };
-  env.bill_cpu = [this](const std::string& fn, double cpu_ms) { BillCpu(fn, cpu_ms); };
+  env.bill_cpu = [this](const std::string& fn, double cpu_ms) {
+    cost_meter_.BillCpu(fn, cpu_ms);
+  };
   // Spurious-crash/OOM injection: decide before execution starts, apply
   // after, so the new request is registered and dies with the container
   // (widest blast radius, as a real mid-request fault would produce).

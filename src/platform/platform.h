@@ -97,10 +97,13 @@ struct PlatformConfig {
   double memory_admission_threshold = 0.8;
   int max_requests_per_container = 100;
 
-  // --- Worker-node model (§4, live). max_nodes == 0 keeps the seed
+  // --- Worker-node model (§4, live). This is the one place the fleet is
+  // configured. max_nodes == 0 with the autoscaler off keeps the seed
   // behavior: an infinite pool, no placement engine, no node events. With a
   // finite fleet, every container spawn debits a node chosen by
   // placement_policy; spawns that fit no node queue until capacity frees.
+  // The node geometry and policy apply to the static and the elastic fleet
+  // alike.
   double node_cpu = 16.0;
   double node_memory_mb = 32768.0;
   int max_nodes = 0;
@@ -133,9 +136,10 @@ struct PlatformConfig {
   // (per-request fee, rounded GB-/vCPU-second windows, cold-start policy).
   PricingProfile pricing;
 
-  // Typed validation of the knob surface: rejects a finite fleet with
-  // non-positive node geometry, out-of-range thresholds, negative autoscaler
-  // windows, and enabling both the static fleet and the autoscaler at once.
+  // Typed validation of the knob surface: rejects a finite or elastic fleet
+  // with non-positive node geometry, out-of-range thresholds, negative
+  // autoscaler windows, and enabling both the static fleet and the autoscaler
+  // at once.
   // The Platform constructor calls this and surfaces the error from Deploy/
   // UpdateFunction/Invoke instead of silently misbehaving.
   Status Validate() const;
@@ -232,10 +236,8 @@ class Platform : public Invoker {
   // Invoker: the full client/function -> gateway -> container path. A
   // request with an invalid (default) parent context starts a new trace
   // (client entry); nested function-to-function calls carry their caller's
-  // context so their spans join the root request's trace. The positional
-  // legacy forms delegate here through the Invoker shims.
+  // context so their spans join the root request's trace.
   void Invoke(InvokeRequest&& request) override;
-  using Invoker::Invoke;
 
   const DeploymentStats* StatsFor(const std::string& handle) const;
   // Cumulative breaker-open time including a currently-open span.
@@ -245,16 +247,10 @@ class Platform : public Invoker {
   // Per-deployment failure snapshot for the metrics pipeline ("cAdvisor"
   // samples the failure taxonomy the same way it samples CPU/memory).
   std::vector<FailureSample> SampleFailures() const;
-  // Per-function CPU attribution (§8 extension): vCPU-seconds billed to each
-  // function handle, including functions running inside merged processes.
-  // Thin facade over the CostMeter's raw-seconds ledger.
-  double BilledCpuSeconds(const std::string& function_handle) const;
-  // Materialized snapshot of the ledger. Every handle that ever billed
-  // appears, including handles whose accrual is exactly zero ("invoked but
-  // idle" is not the same as "never invoked").
-  std::map<std::string, double> billing_ledger() const;
   // Dollar-cost attribution: one MeterAttempt per dispatch attempt (retries
-  // and failures included) under config().pricing.
+  // and failures included) under config().pricing, plus the per-function
+  // vCPU-seconds ledger (§8 extension) the executor's bill_cpu hook feeds,
+  // functions inside merged processes included.
   CostMeter& cost_meter() { return cost_meter_; }
   const CostMeter& cost_meter() const { return cost_meter_; }
   // Snapshot of all live containers (the cAdvisor sample source).
@@ -262,11 +258,7 @@ class Platform : public Invoker {
   double TotalMemoryInUseMb() const;
   int TotalContainers() const;
 
-  // --- Worker-node model. Re-shards the platform into `max_nodes` identical
-  // finite-capacity nodes (0 = infinite pool). Must run before any container
-  // exists: live containers hold capacity the fresh fleet never debited.
-  void ConfigureNodes(double node_cpu, double node_memory_mb, int max_nodes,
-                      PlacementPolicy policy);
+  // --- Worker-node model, configured once from PlatformConfig.
   const PlacementEngine& placement() const { return placement_; }
   // Per-node snapshot for the metrics pipeline (empty when the node model is
   // off; only nodes that ever hosted a container -- or failed -- emit rows).
@@ -300,9 +292,8 @@ class Platform : public Invoker {
   // Ready nodes currently hosting at least one container with an in-flight
   // request (the autoscaler's busy set).
   int BusyNodes() const;
-  // Switches the placement engine to elastic mode and arms the autoscaler.
-  // Must run before any container exists. Validates `options`.
-  Status EnableAutoscaler(const AutoscalerOptions& options);
+  // The elastic fleet's controller; nullptr unless config().autoscaler is
+  // enabled (the constructor arms it).
   NodeAutoscaler* autoscaler() { return autoscaler_.get(); }
   const NodeAutoscaler* autoscaler() const { return autoscaler_.get(); }
 
@@ -399,7 +390,6 @@ class Platform : public Invoker {
   Deployment* FindDeployment(std::string_view handle) const;
   // Interns `handle` and returns its (possibly fresh) deployment slot id.
   HandleId InternHandle(std::string_view handle);
-  void BillCpu(const std::string& function_handle, double cpu_ms);
 
   // The spec a given version id runs (the control's or the staged canary's).
   const DeploymentSpec& SpecForVersion(const Deployment& dep, int64_t version) const;

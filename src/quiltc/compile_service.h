@@ -42,9 +42,16 @@
 #include "src/ir/ir_module.h"
 #include "src/partition/problem.h"
 #include "src/quiltc/merged_artifact.h"
-#include "src/quiltc/quiltc_options.h"
 
 namespace quilt {
+
+// Options of the merge-compilation pipeline (§5.2, §5.6).
+struct QuiltcOptions {
+  bool conditional_invocations = true;  // §5.6 guards on localized calls.
+  bool delay_http = true;               // §5.2 step 6.
+  bool dce = true;                      // Debloating.
+  bool implib_wrap = true;              // §5.2 step 9.
+};
 
 struct CompileServiceOptions {
   QuiltcOptions quiltc;

@@ -35,29 +35,11 @@ struct InvokeRequest {
 };
 
 // How function-to-function calls leave the process: implemented by the
-// platform (API-gateway path, Figure 1). The request-struct overload is the
-// API; the positional overloads below are thin delegating shims kept for one
-// release while in-tree call sites migrate. Implementations overriding the
-// pure virtual should `using Invoker::Invoke;` to keep the shims visible.
+// platform (API-gateway path, Figure 1).
 class Invoker {
  public:
   virtual ~Invoker() = default;
   virtual void Invoke(InvokeRequest&& request) = 0;
-
-  // Legacy shim: positional form without trace propagation.
-  void Invoke(const std::string& caller_handle, const std::string& callee_handle,
-              const Json& payload, bool async, std::function<void(Result<Json>)> done) {
-    Invoke(InvokeRequest{caller_handle, callee_handle, TraceContext{}, payload, async,
-                         std::move(done)});
-  }
-
-  // Legacy shim: positional trace-propagating form.
-  void Invoke(const TraceContext& parent, const std::string& caller_handle,
-              const std::string& callee_handle, const Json& payload, bool async,
-              std::function<void(Result<Json>)> done) {
-    Invoke(InvokeRequest{caller_handle, callee_handle, parent, payload, async,
-                         std::move(done)});
-  }
 };
 
 // Per-call CPU/latency costs of the serverless runtime itself.

@@ -7,8 +7,9 @@
 // Hot-path design (see src/sim/event_queue.h): events live in a slab-backed
 // 4-ary heap and callbacks in a small-buffer-optimized EventFn, so the
 // steady-state Schedule/fire cycle performs zero heap allocations. The
-// pre-overhaul loop is preserved as LegacyEventLoop; the two are kept
-// observationally identical by tests/sim/event_queue_determinism_test.cc.
+// pre-overhaul loop lives on as a test oracle (LegacyEventLoop in
+// tests/sim/legacy_event_loop.h); the two are kept observationally
+// identical by tests/sim/event_queue_determinism_test.cc.
 //
 // Time policy:
 //  - Schedule() clamps negative delays to zero.

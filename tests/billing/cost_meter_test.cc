@@ -1,6 +1,6 @@
 // CostMeter attribution: exact dollars for retries and cold starts under
-// both cold-start policies, exact-sum aggregation, the retired CPU-seconds
-// ledger facade, and infrastructure dollars from node telemetry.
+// both cold-start policies, exact-sum aggregation, the CPU-seconds ledger,
+// and infrastructure dollars from node telemetry.
 #include "src/billing/cost_meter.h"
 
 #include <gtest/gtest.h>

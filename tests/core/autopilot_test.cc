@@ -302,13 +302,14 @@ TEST(ReconsiderEdgeTest, UnchangedSignatureIsANoOp) {
 TEST(SummaryStatusTest, TypedStatusesForLatencySummary) {
   ControllerHarness h;
   // Unknown workflow: not found.
-  EXPECT_EQ(h.controller.SummarizeWorkflowLatency("ghost").status().code(),
+  EXPECT_EQ(h.controller.metrics().SummarizeWorkflowLatency("ghost").status().code(),
             StatusCode::kNotFound);
 
   ASSERT_TRUE(h.controller.RegisterWorkflow(FanOutApp(4)).ok());
   // Registered but an empty window: "wait", not an alarm.
   h.controller.StartProfiling();
-  const Result<WorkflowLatencySummary> empty = h.controller.SummarizeWorkflowLatency(kRoot);
+  const Result<WorkflowLatencySummary> empty =
+      h.controller.metrics().SummarizeWorkflowLatency(kRoot);
   ASSERT_FALSE(empty.ok());
   EXPECT_EQ(empty.status().code(), StatusCode::kUnavailable);
 
@@ -316,12 +317,12 @@ TEST(SummaryStatusTest, TypedStatusesForLatencySummary) {
   // all-control window is unavailable (no canary traffic), not an error.
   h.controller.StopProfiling();
   h.ProfileFanOut(2);
-  const Result<WorkflowLatencySummary> all = h.controller.SummarizeWorkflowLatency(kRoot);
+  const Result<WorkflowLatencySummary> all = h.controller.metrics().SummarizeWorkflowLatency(kRoot);
   ASSERT_TRUE(all.ok()) << all.status().ToString();
   EXPECT_GT(all->traces, 0);
   EXPECT_EQ(all->version, "all");
   const Result<WorkflowLatencySummary> canary_only =
-      h.controller.SummarizeWorkflowLatency(kRoot, TraceVersionFilter::kCanary);
+      h.controller.metrics().SummarizeWorkflowLatency(kRoot, TraceVersionFilter::kCanary);
   ASSERT_FALSE(canary_only.ok());
   EXPECT_EQ(canary_only.status().code(), StatusCode::kUnavailable);
   EXPECT_NE(canary_only.status().message().find("canary"), std::string::npos);

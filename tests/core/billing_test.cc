@@ -32,13 +32,14 @@ TEST(BillingTest, BaselineAttributesCpuPerFunction) {
   ASSERT_TRUE(h.controller.RegisterWorkflow(app).ok());
   const LoadResult load = RunLoad(h, app.root_handle);
   ASSERT_GT(load.completed, 10);
-  EXPECT_GT(h.platform.BilledCpuSeconds("read-home-timeline"), 0.0);
-  EXPECT_GT(h.platform.BilledCpuSeconds("post-storage-read"), 0.0);
-  EXPECT_EQ(h.platform.BilledCpuSeconds("nonexistent"), 0.0);
+  EXPECT_GT(h.platform.cost_meter().BilledCpuSeconds("read-home-timeline"), 0.0);
+  EXPECT_GT(h.platform.cost_meter().BilledCpuSeconds("post-storage-read"), 0.0);
+  EXPECT_EQ(h.platform.cost_meter().BilledCpuSeconds("nonexistent"), 0.0);
   // The leaf burns more CPU per request (0.45ms vs 0.5ms + http)... both in
   // the same ballpark; per-request shares should scale with the workload.
   const double per_request =
-      h.platform.BilledCpuSeconds("post-storage-read") / static_cast<double>(load.completed);
+      h.platform.cost_meter().BilledCpuSeconds("post-storage-read") /
+      static_cast<double>(load.completed);
   EXPECT_NEAR(per_request, (0.45 + 0.15) / 1000.0, 0.3e-3);
 }
 
@@ -56,12 +57,12 @@ TEST(BillingTest, MergedProcessStillBillsEveryMemberFunction) {
   // Every member function accrues billed CPU even though only one
   // deployment ("compose-post") exists on the platform.
   for (const AppFunctionSpec& fn : app.functions) {
-    EXPECT_GT(h.platform.BilledCpuSeconds(fn.handle), 0.0) << fn.handle;
+    EXPECT_GT(h.platform.cost_meter().BilledCpuSeconds(fn.handle), 0.0) << fn.handle;
   }
   // Attribution is proportional to each function's compute: text-service
   // burns 0.7ms vs media-service 0.4ms per request.
-  const double text = h.platform.BilledCpuSeconds("text-service");
-  const double media = h.platform.BilledCpuSeconds("media-service");
+  const double text = h.platform.cost_meter().BilledCpuSeconds("text-service");
+  const double media = h.platform.cost_meter().BilledCpuSeconds("media-service");
   EXPECT_GT(text, media);
   EXPECT_NEAR(text / media, 0.7 / 0.4, 0.35);
 }
@@ -82,9 +83,9 @@ TEST(BillingTest, MergedBillingMatchesBaselineShares) {
   ASSERT_TRUE(merged.controller.DeploySolutionDirect(app, FullMergeSolution(*graph)).ok());
   const LoadResult merged_load = RunLoad(merged, app.root_handle);
 
-  const double base_leaf = baseline.platform.BilledCpuSeconds("user-review-storage") /
+  const double base_leaf = baseline.platform.cost_meter().BilledCpuSeconds("user-review-storage") /
                            static_cast<double>(base_load.completed);
-  const double merged_leaf = merged.platform.BilledCpuSeconds("user-review-storage") /
+  const double merged_leaf = merged.platform.cost_meter().BilledCpuSeconds("user-review-storage") /
                              static_cast<double>(merged_load.completed);
   // Merged leaf lacks the per-request HTTP handler work (0.15 ms).
   EXPECT_NEAR(base_leaf - merged_leaf, 0.15e-3, 0.05e-3);

@@ -2,11 +2,19 @@
 
 #include "src/apps/deathstarbench.h"
 #include "src/core/quilt_controller.h"
-#include "src/quiltc/compiler.h"
 #include "src/workload/loadgen.h"
 
 namespace quilt {
 namespace {
+
+// One-shot compilation: caches off, so every call compiles from scratch.
+CompileServiceOptions Uncached(QuiltcOptions quiltc = {}) {
+  CompileServiceOptions options;
+  options.quiltc = quiltc;
+  options.ir_cache = false;
+  options.artifact_cache = false;
+  return options;
+}
 
 struct Harness {
   Simulation sim;
@@ -21,7 +29,7 @@ TEST(ControllerExtraTest, MergedSpecCarriesImageAndBudgets) {
   ASSERT_TRUE(h.controller.RegisterWorkflow(app).ok());
   Result<CallGraph> graph = app.ReferenceGraph();
   ASSERT_TRUE(graph.ok());
-  QuiltCompiler compiler;
+  CompileService compiler(Uncached());
   Result<MergedArtifact> artifact = compiler.MergeGroup(
       *graph, FullMergeSolution(*graph).groups[0], app.Sources());
   ASSERT_TRUE(artifact.ok());
@@ -147,7 +155,7 @@ TEST(ControllerExtraTest, OptOutFunctionLimitsMerging) {
   Result<CallGraph> graph = app.ReferenceGraph();
   ASSERT_TRUE(graph.ok());
   // A full merge must be rejected by the compiler (opt-out, §1.1).
-  QuiltCompiler compiler;
+  CompileService compiler(Uncached());
   EXPECT_FALSE(
       compiler.MergeGroup(*graph, FullMergeSolution(*graph).groups[0], app.Sources()).ok());
 }

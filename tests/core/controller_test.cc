@@ -104,11 +104,32 @@ TEST(ControllerTest, RollbackRestoresBaselineBehavior) {
   const LoadResult merged = RunLoad(h, "read-home-timeline", Seconds(10));
   EXPECT_LT(merged.latency.Median(), before.latency.Median());
 
-  ASSERT_TRUE(h.controller.Rollback("read-home-timeline").ok());
+  ASSERT_TRUE(h.controller.RollbackDeployment("read-home-timeline").ok());
+  // The ledger goes with the merge: nothing merged is reported live.
+  EXPECT_FALSE(h.controller.HasMergedDeployment("read-home-timeline"));
+  EXPECT_TRUE(h.controller.DeployedInternalEdges("read-home-timeline").empty());
   const LoadResult rolled_back = RunLoad(h, "read-home-timeline", Seconds(10));
   // Back to remote invocations: latency returns to (roughly) baseline.
   EXPECT_GT(rolled_back.latency.Median(), merged.latency.Median());
-  EXPECT_EQ(h.controller.Rollback("ghost").code(), StatusCode::kNotFound);
+  EXPECT_EQ(h.controller.RollbackDeployment("ghost").code(), StatusCode::kNotFound);
+
+  // A fresh window is decided on what the ingress saw, not on top of the
+  // reverted merge: no call on a formerly internal edge is counted twice.
+  h.controller.StartProfiling();
+  RunLoad(h, "read-home-timeline", Seconds(10));
+  h.controller.StopProfiling();
+  Result<CallGraph> observed = h.controller.BuildCallGraph("read-home-timeline");
+  ASSERT_TRUE(observed.ok()) << observed.status().ToString();
+  Result<QuiltController::ProposedPlan> plan = h.controller.ProposePlan("read-home-timeline");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(plan->graph.num_edges(), observed->num_edges());
+  for (const CallEdge& e : plan->graph.edges()) {
+    const std::string& from = plan->graph.node(e.from).name;
+    const std::string& to = plan->graph.node(e.to).name;
+    const EdgeId seen = observed->FindEdge(observed->FindNode(from), observed->FindNode(to));
+    ASSERT_NE(seen, -1) << from << "->" << to;
+    EXPECT_EQ(e.alpha, observed->edge(seen).alpha) << from << "->" << to;
+  }
 }
 
 TEST(ControllerTest, DeploySolutionDirectPinsGrouping) {

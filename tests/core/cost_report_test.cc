@@ -51,7 +51,7 @@ std::string RunPipeline(int threads, double lambda) {
   EXPECT_TRUE(solution.ok());
   generator.Run(&sim, &platform, app.root_handle, load);
 
-  return SerializedCostLines(controller.CollectCostReport().records);
+  return SerializedCostLines(controller.metrics().CollectCostReport().records);
 }
 
 TEST(CostReportTest, CostLinesByteIdenticalAcrossRunsAndThreads) {
@@ -75,7 +75,7 @@ TEST(CostReportTest, ReportMatchesMeterExactly) {
   load.duration = Seconds(5);
   generator.Run(&sim, &platform, app.root_handle, load);
 
-  const QuiltController::CostReport report = controller.CollectCostReport();
+  const QuiltController::CostReport report = controller.metrics().CollectCostReport();
   ASSERT_FALSE(report.records.empty());
   EXPECT_EQ(report.invocation_nanos, platform.cost_meter().TotalNanos());
   EXPECT_EQ(report.invocation_attempts, platform.cost_meter().TotalAttempts());

@@ -67,14 +67,54 @@ TEST(MonitorTest, WorkloadDriftTriggersRedeploy) {
   h.ProfileFanOut(2);
   ASSERT_TRUE(h.controller.OptimizeWorkflow("fan-out-root").ok());
 
-  // The fan-out grows: the profiled alpha (and thus the conditional budgets)
-  // must be rebuilt.
-  h.ProfileFanOut(6);
+  // The fan-out grows, but root and callee still fit one 2-vCPU container
+  // (alpha 3: 0.032 + 3 x 0.462 = 1.42 vCPU): the merge stays and its
+  // conditional budget is rebuilt.
+  h.ProfileFanOut(3);
   Result<QuiltController::ReconsiderReport> report =
       h.controller.ReconsiderWorkflow("fan-out-root");
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->redeployed) << report->reason;
   EXPECT_FALSE(report->rolled_back);
+  const std::vector<QuiltController::InternalEdge> edges =
+      h.controller.DeployedInternalEdges("fan-out-root");
+  ASSERT_EQ(edges.size(), 1u);
+  EXPECT_EQ(edges[0].callee, "fan-callee");
+  EXPECT_EQ(edges[0].budget, 3);
+}
+
+// Regression: a re-decision that splits the only merged group used to be
+// reported as "redeployed" while the root kept serving its merged image --
+// every call stayed local, so none reached the callee's deployment.
+TEST(MonitorTest, DriftPastTheLimitRevertsToBaseline) {
+  for (const int num : {4, 6, 16}) {
+    SCOPED_TRACE(num);
+    Harness h(FanOutOptions());
+    ASSERT_TRUE(h.controller.RegisterWorkflow(FanOutApp(8)).ok());
+    h.ProfileFanOut(2);
+    ASSERT_TRUE(h.controller.OptimizeWorkflow("fan-out-root").ok());
+
+    // E.g. alpha 6: 0.032 + 6 x 0.462 = 2.80 vCPU > the 2.0 limit, so the
+    // re-decision splits root and callee and merges nothing.
+    h.ProfileFanOut(num);
+    Result<QuiltController::ReconsiderReport> report =
+        h.controller.ReconsiderWorkflow("fan-out-root");
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report->rolled_back) << report->reason;
+    EXPECT_FALSE(report->redeployed);
+    EXPECT_FALSE(h.controller.HasMergedDeployment("fan-out-root"));
+    EXPECT_TRUE(h.controller.DeployedInternalEdges("fan-out-root").empty());
+
+    // The baseline image serves: each of 10 requests makes 2 remote calls.
+    h.ProfileFanOut(2, /*requests=*/10);
+    int callee_spans = 0;
+    for (const Trace& trace : h.controller.metrics().CollectTraces()) {
+      for (const Span& span : trace.spans) {
+        callee_spans += span.callee == "fan-callee" ? 1 : 0;
+      }
+    }
+    EXPECT_EQ(callee_spans, 20);
+  }
 }
 
 TEST(MonitorTest, OomKillsTriggerRollback) {

@@ -149,7 +149,7 @@ TEST(TraceIdentityTest, EachRequestRootsOneWellFormedTraceTree) {
   DriveBothWorkflows(h, 10);
   h.controller.StopProfiling();
 
-  const std::vector<Trace> traces = h.controller.CollectTraces();
+  const std::vector<Trace> traces = h.controller.metrics().CollectTraces();
   ASSERT_EQ(traces.size(), 20u);  // One trace per client request.
 
   int a_traces = 0;
@@ -216,7 +216,7 @@ TEST(TraceIdentityTest, SpanSegmentsAreBoundedByDuration) {
   DriveBothWorkflows(h, 5);
   h.controller.StopProfiling();
 
-  for (const Trace& trace : h.controller.CollectTraces()) {
+  for (const Trace& trace : h.controller.metrics().CollectTraces()) {
     for (const Span& span : trace.spans) {
       EXPECT_EQ(span.status, SpanStatus::kOk);
       EXPECT_GT(span.end_time, span.timestamp);

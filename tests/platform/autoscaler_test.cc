@@ -38,11 +38,11 @@ DeploymentSpec ElasticFunction(const std::string& handle, double compute_ms = 5.
 // fast control loop so tests stay short.
 PlatformConfig ElasticConfig() {
   PlatformConfig config;
+  config.node_cpu = 4.0;
+  config.node_memory_mb = 512.0;
   config.autoscaler.enabled = true;
   config.autoscaler.min_nodes = 1;
   config.autoscaler.warm_pool = 0;
-  config.autoscaler.node_cpu = 4.0;
-  config.autoscaler.node_memory_mb = 512.0;
   config.autoscaler.evaluate_interval = Milliseconds(100);
   config.autoscaler.scale_up_ticks = 1;
   config.autoscaler.provisioning_delay = Milliseconds(500);
@@ -52,16 +52,13 @@ PlatformConfig ElasticConfig() {
 
 TEST(AutoscalerOptionsTest, ValidateGatesOnlyWhenEnabled) {
   AutoscalerOptions off;
-  off.node_cpu = -1.0;  // Garbage, but the struct is unused while disabled.
+  off.evaluate_interval = -1;  // Garbage, but the struct is unused while disabled.
   EXPECT_TRUE(off.Validate().ok());
 
   AutoscalerOptions on;
   on.enabled = true;
   EXPECT_TRUE(on.Validate().ok());
 
-  on.node_cpu = 0.0;
-  EXPECT_FALSE(on.Validate().ok());
-  on.node_cpu = 16.0;
   on.evaluate_interval = 0;
   EXPECT_FALSE(on.Validate().ok());
   on.evaluate_interval = Milliseconds(250);
@@ -76,6 +73,10 @@ TEST(AutoscalerOptionsTest, ValidateGatesOnlyWhenEnabled) {
 TEST(AutoscalerOptionsTest, ConfigValidateRejectsAutoscalerPlusStaticFleet) {
   PlatformConfig config = ElasticConfig();
   EXPECT_TRUE(config.Validate().ok());
+  // The elastic fleet reads the platform's node geometry, so the platform
+  // validates it whenever the autoscaler is on.
+  config.node_cpu = 0.0;
+  EXPECT_FALSE(config.Validate().ok());
   config.max_nodes = 4;  // Static fleet and elastic fleet are exclusive.
   config.node_cpu = 16.0;
   config.node_memory_mb = 32768.0;
@@ -273,23 +274,20 @@ TEST(NodeAutoscalerTest, EventLogByteIdenticalAcrossRepeats) {
 }
 
 TEST(NodeAutoscalerTest, DisabledAutoscalerStaysInert) {
-  // Default config: no autoscaler object, no elastic engine, and EnableAutoscaler
-  // with enabled=false is rejected rather than silently armed.
+  // Default config: no autoscaler object, no elastic engine, no events.
   Simulation sim;
   Platform platform(&sim, PlatformConfig{});
   EXPECT_EQ(platform.autoscaler(), nullptr);
   EXPECT_FALSE(platform.placement().enabled());
+  sim.Run();
+  EXPECT_EQ(sim.events_processed(), 0);
 
-  AutoscalerOptions off;
-  EXPECT_FALSE(platform.EnableAutoscaler(off).ok());
-  EXPECT_EQ(platform.autoscaler(), nullptr);
-
-  // Arming twice is rejected too.
+  // The constructor is the only place the autoscaler is armed.
   Simulation sim2;
   Platform elastic(&sim2, ElasticConfig());
   ASSERT_NE(elastic.autoscaler(), nullptr);
-  AutoscalerOptions again = ElasticConfig().autoscaler;
-  EXPECT_FALSE(elastic.EnableAutoscaler(again).ok());
+  EXPECT_TRUE(elastic.placement().enabled());
+  EXPECT_EQ(elastic.placement().node_cpu(), 4.0);
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // Platform-side dollar metering: every dispatch attempt lands one
 // MeterAttempt under the deployment's *configured* limits and the config's
-// rate card, and the retired CPU-seconds ledger facades keep their exact
-// old semantics -- including the zero-accrual entries the raw vector used
-// to drop.
+// rate card, and the meter's CPU-seconds ledger keeps the zero-accrual
+// entries the old raw vector used to drop.
 #include <gtest/gtest.h>
 
 #include "src/platform/platform.h"
@@ -55,21 +54,21 @@ TEST(BillingMeterTest, LedgerKeepsExactlyZeroEntries) {
   // "never invoked".
   Harness h;
   h.platform.cost_meter().BillCpu("idle-fn", 0.0);
-  const std::map<std::string, double> ledger = h.platform.billing_ledger();
+  const std::map<std::string, double> ledger = h.platform.cost_meter().CpuLedger();
   ASSERT_EQ(ledger.count("idle-fn"), 1u);
   EXPECT_DOUBLE_EQ(ledger.at("idle-fn"), 0.0);
   EXPECT_EQ(ledger.count("never-invoked"), 0u);
-  EXPECT_DOUBLE_EQ(h.platform.BilledCpuSeconds("idle-fn"), 0.0);
+  EXPECT_DOUBLE_EQ(h.platform.cost_meter().BilledCpuSeconds("idle-fn"), 0.0);
 }
 
 TEST(BillingMeterTest, LiveInvocationsAccrueInLedger) {
   Harness h;
   ASSERT_TRUE(h.platform.Deploy(MeteredFunction("fn")).ok());
   ASSERT_TRUE(h.InvokeAndWait("fn").ok());
-  const std::map<std::string, double> ledger = h.platform.billing_ledger();
+  const std::map<std::string, double> ledger = h.platform.cost_meter().CpuLedger();
   ASSERT_EQ(ledger.count("fn"), 1u);
   EXPECT_GT(ledger.at("fn"), 0.0);
-  EXPECT_DOUBLE_EQ(h.platform.BilledCpuSeconds("fn"), ledger.at("fn"));
+  EXPECT_DOUBLE_EQ(h.platform.cost_meter().BilledCpuSeconds("fn"), ledger.at("fn"));
 }
 
 TEST(BillingMeterTest, EveryAttemptBillsOneMeterLine) {

@@ -312,12 +312,13 @@ TEST(NodePlatformTest, NodeSamplesDeterministicAcrossDecisionThreads) {
     ControllerOptions options;
     options.container_memory_limit_mb = 256.0;
     options.decision_threads = threads;
-    options.max_nodes = 6;
-    options.node_cpu = 8.0;
-    options.node_memory_mb = 2048.0;
-    options.placement_policy = PlacementPolicy::kBestFit;
+    PlatformConfig config;
+    config.max_nodes = 6;
+    config.node_cpu = 8.0;
+    config.node_memory_mb = 2048.0;
+    config.placement_policy = PlacementPolicy::kBestFit;
     Simulation sim;
-    Platform platform(&sim, PlatformConfig{});
+    Platform platform(&sim, config);
     QuiltController controller(&sim, &platform, options);
     EXPECT_TRUE(controller.RegisterWorkflow(FanOutApp(4)).ok());
 

@@ -5,7 +5,6 @@
 #include <atomic>
 
 #include "src/frontend/frontend.h"
-#include "src/quiltc/compiler.h"
 
 namespace quilt {
 namespace {
@@ -330,28 +329,6 @@ TEST(CompileServiceTest, BaselineBuildsSeedTheIrCacheForLaterMerges) {
   ASSERT_TRUE(service.MergeSolution(w.graph, solution, w.sources).ok());
   EXPECT_EQ(service.stats().merges_built, merges_before);
   EXPECT_EQ(frontend_calls.load(), static_cast<int>(w.sources.size()));
-}
-
-TEST(CompileServiceTest, FacadeAndServiceAgree) {
-  // The QuiltCompiler facade (caches off, one thread) must produce the same
-  // bits as a caching, threaded service.
-  Workflow w = MovieReview();
-  CompileServiceOptions options;
-  options.compile_threads = 4;
-  CompileService service(options);
-  const MergeSolution solution = TwoGroupSolution(w.graph);
-  Result<std::vector<MergedArtifact>> via_service =
-      service.MergeSolution(w.graph, solution, w.sources);
-  ASSERT_TRUE(via_service.ok());
-
-  QuiltCompiler compiler;
-  Result<std::vector<MergedArtifact>> via_facade =
-      compiler.MergeSolution(w.graph, solution, w.sources);
-  ASSERT_TRUE(via_facade.ok());
-  ASSERT_EQ(via_service->size(), via_facade->size());
-  for (size_t i = 0; i < via_service->size(); ++i) {
-    EXPECT_EQ(ArtifactSignature((*via_service)[i]), ArtifactSignature((*via_facade)[i]));
-  }
 }
 
 }  // namespace

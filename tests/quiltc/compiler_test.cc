@@ -1,4 +1,4 @@
-#include "src/quiltc/compiler.h"
+#include "src/quiltc/compile_service.h"
 
 #include <gtest/gtest.h>
 
@@ -6,6 +6,15 @@
 
 namespace quilt {
 namespace {
+
+// One-shot compilation: caches off, so every call compiles from scratch.
+CompileServiceOptions Uncached(QuiltcOptions quiltc = {}) {
+  CompileServiceOptions options;
+  options.quiltc = quiltc;
+  options.ir_cache = false;
+  options.artifact_cache = false;
+  return options;
+}
 
 // Movie-review-style workflow (Figure 3 shape): root fans out to three
 // uploaders that all call compose-and-upload.
@@ -48,7 +57,7 @@ Workflow MovieReview(Lang lang = Lang::kRust) {
 
 TEST(QuiltCompilerTest, BuildSingleFunctionBaseline) {
   Workflow w = MovieReview();
-  QuiltCompiler compiler;
+  CompileService compiler(Uncached());
   Result<MergedArtifact> artifact = compiler.BuildSingleFunction(w.sources["upload-text"]);
   ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
   EXPECT_TRUE(artifact->IsSingleFunction());
@@ -58,7 +67,7 @@ TEST(QuiltCompilerTest, BuildSingleFunctionBaseline) {
 
 TEST(QuiltCompilerTest, MergesFullWorkflow) {
   Workflow w = MovieReview();
-  QuiltCompiler compiler;
+  CompileService compiler(Uncached());
   const MergeSolution full = FullMergeSolution(w.graph);
   Result<MergedArtifact> artifact = compiler.MergeGroup(w.graph, full.groups[0], w.sources);
   ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
@@ -83,7 +92,7 @@ TEST(QuiltCompilerTest, MergesFullWorkflow) {
 
 TEST(QuiltCompilerTest, MergedBinarySmallerThanSumOfParts) {
   Workflow w = MovieReview();
-  QuiltCompiler compiler;
+  CompileService compiler(Uncached());
   int64_t sum = 0;
   for (const auto& [handle, source] : w.sources) {
     Result<MergedArtifact> single = compiler.BuildSingleFunction(source);
@@ -100,7 +109,7 @@ TEST(QuiltCompilerTest, MergedBinarySmallerThanSumOfParts) {
 
 TEST(QuiltCompilerTest, SharedCalleeIntroducedOnce) {
   Workflow w = MovieReview();
-  QuiltCompiler compiler;
+  CompileService compiler(Uncached());
   const MergeSolution full = FullMergeSolution(w.graph);
   Result<MergedArtifact> artifact = compiler.MergeGroup(w.graph, full.groups[0], w.sources);
   ASSERT_TRUE(artifact.ok());
@@ -124,7 +133,7 @@ TEST(QuiltCompilerTest, CrossLanguageMerge) {
   w.sources["upload-rating"].lang = Lang::kGo;
   w.sources["upload-text"].lang = Lang::kSwift;
   w.sources["compose-and-upload"].lang = Lang::kCpp;
-  QuiltCompiler compiler;
+  CompileService compiler(Uncached());
   const MergeSolution full = FullMergeSolution(w.graph);
   Result<MergedArtifact> artifact = compiler.MergeGroup(w.graph, full.groups[0], w.sources);
   ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
@@ -146,7 +155,7 @@ TEST(QuiltCompilerTest, CrossLanguageMerge) {
 TEST(QuiltCompilerTest, RespectsMergeOptOut) {
   Workflow w = MovieReview();
   w.sources["upload-text"].mergeable = false;
-  QuiltCompiler compiler;
+  CompileService compiler(Uncached());
   const MergeSolution full = FullMergeSolution(w.graph);
   Result<MergedArtifact> artifact = compiler.MergeGroup(w.graph, full.groups[0], w.sources);
   EXPECT_FALSE(artifact.ok());
@@ -155,7 +164,7 @@ TEST(QuiltCompilerTest, RespectsMergeOptOut) {
 
 TEST(QuiltCompilerTest, PartialGroupKeepsRemoteEdges) {
   Workflow w = MovieReview();
-  QuiltCompiler compiler;
+  CompileService compiler(Uncached());
   // Merge only the root and upload-user-id: other invokes stay remote.
   MergeGroup group;
   group.root = w.graph.FindNode("compose-review");
@@ -178,7 +187,7 @@ TEST(QuiltCompilerTest, PartialGroupKeepsRemoteEdges) {
 
 TEST(QuiltCompilerTest, DisconnectedGroupRejected) {
   Workflow w = MovieReview();
-  QuiltCompiler compiler;
+  CompileService compiler(Uncached());
   MergeGroup group;
   group.root = w.graph.FindNode("compose-review");
   // compose-and-upload unreachable without an uploader in the group.
@@ -189,7 +198,7 @@ TEST(QuiltCompilerTest, DisconnectedGroupRejected) {
 TEST(QuiltCompilerTest, MissingSourceRejected) {
   Workflow w = MovieReview();
   w.sources.erase("upload-text");
-  QuiltCompiler compiler;
+  CompileService compiler(Uncached());
   const MergeSolution full = FullMergeSolution(w.graph);
   EXPECT_EQ(compiler.MergeGroup(w.graph, full.groups[0], w.sources).status().code(),
             StatusCode::kNotFound);
@@ -197,7 +206,7 @@ TEST(QuiltCompilerTest, MissingSourceRejected) {
 
 TEST(QuiltCompilerTest, MergeSolutionProducesArtifactPerGroup) {
   Workflow w = MovieReview();
-  QuiltCompiler compiler;
+  CompileService compiler(Uncached());
   MergeSolution solution;
   solution.groups.push_back(
       MergeGroup{w.graph.FindNode("compose-review"),
@@ -215,7 +224,7 @@ TEST(QuiltCompilerTest, MergeSolutionProducesArtifactPerGroup) {
 
 TEST(QuiltCompilerTest, DelayHttpMakesCurlLazyInMergedImage) {
   Workflow w = MovieReview();
-  QuiltCompiler compiler;
+  CompileService compiler(Uncached());
   const MergeSolution full = FullMergeSolution(w.graph);
   Result<MergedArtifact> merged = compiler.MergeGroup(w.graph, full.groups[0], w.sources);
   ASSERT_TRUE(merged.ok());
@@ -230,7 +239,7 @@ TEST(QuiltCompilerTest, DelayHttpMakesCurlLazyInMergedImage) {
 
 TEST(QuiltCompilerTest, MergeTimeScalesWithFunctions) {
   Workflow w = MovieReview();
-  QuiltCompiler compiler;
+  CompileService compiler(Uncached());
   MergeGroup two;
   two.root = w.graph.FindNode("compose-review");
   two.members = {two.root, w.graph.FindNode("upload-user-id")};
@@ -249,7 +258,7 @@ TEST(QuiltCompilerTest, ConditionalInvocationsCanBeDisabled) {
   Workflow w = MovieReview();
   QuiltcOptions options;
   options.conditional_invocations = false;
-  QuiltCompiler compiler(options);
+  CompileService compiler(Uncached(options));
   const MergeSolution full = FullMergeSolution(w.graph);
   Result<MergedArtifact> artifact = compiler.MergeGroup(w.graph, full.groups[0], w.sources);
   ASSERT_TRUE(artifact.ok());

@@ -5,10 +5,19 @@
 #include <gtest/gtest.h>
 
 #include "src/apps/deathstarbench.h"
-#include "src/quiltc/compiler.h"
+#include "src/quiltc/compile_service.h"
 
 namespace quilt {
 namespace {
+
+// One-shot compilation: caches off, so every call compiles from scratch.
+CompileServiceOptions Uncached(QuiltcOptions quiltc = {}) {
+  CompileServiceOptions options;
+  options.quiltc = quiltc;
+  options.ir_cache = false;
+  options.artifact_cache = false;
+  return options;
+}
 
 bool HasCurl(const IrModule& module) {
   for (const SharedLibDep& lib : module.shared_libs()) {
@@ -32,7 +41,7 @@ TEST(DebloatTest, ConditionalMergeKeepsHttpStackLazily) {
   const WorkflowApp app = ReadHomeTimeline();
   Result<CallGraph> graph = app.ReferenceGraph();
   ASSERT_TRUE(graph.ok());
-  QuiltCompiler compiler;  // Conditional invocations on by default.
+  CompileService compiler(Uncached());  // Conditional invocations on by default.
   Result<MergedArtifact> artifact =
       compiler.MergeGroup(*graph, FullMergeSolution(*graph).groups[0], app.Sources());
   ASSERT_TRUE(artifact.ok());
@@ -55,7 +64,7 @@ TEST(DebloatTest, UnconditionalMergeStripsHttpStack) {
   ASSERT_TRUE(graph.ok());
   QuiltcOptions options;
   options.conditional_invocations = false;
-  QuiltCompiler compiler(options);
+  CompileService compiler(Uncached(options));
   Result<MergedArtifact> artifact =
       compiler.MergeGroup(*graph, FullMergeSolution(*graph).groups[0], app.Sources());
   ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
@@ -65,7 +74,7 @@ TEST(DebloatTest, UnconditionalMergeStripsHttpStack) {
   EXPECT_FALSE(HasCurl(artifact->module));
 
   // The debloated binary is smaller than the conditional one.
-  QuiltCompiler conditional;
+  CompileService conditional(Uncached());
   Result<MergedArtifact> with_fallback =
       conditional.MergeGroup(*graph, FullMergeSolution(*graph).groups[0], app.Sources());
   ASSERT_TRUE(with_fallback.ok());
@@ -80,7 +89,7 @@ TEST(DebloatTest, PartialMergeKeepsHttpForCutEdges) {
   ASSERT_TRUE(graph.ok());
   QuiltcOptions options;
   options.conditional_invocations = false;
-  QuiltCompiler compiler(options);
+  CompileService compiler(Uncached(options));
   MergeGroup group;
   group.root = graph->FindNode("compose-post");
   group.members = {group.root, graph->FindNode("unique-id")};
@@ -96,7 +105,7 @@ TEST(DebloatTest, DcePassReportsRemovedBytes) {
   ASSERT_TRUE(graph.ok());
   QuiltcOptions options;
   options.conditional_invocations = false;
-  QuiltCompiler compiler(options);
+  CompileService compiler(Uncached(options));
   Result<MergedArtifact> artifact =
       compiler.MergeGroup(*graph, FullMergeSolution(*graph).groups[0], app.Sources());
   ASSERT_TRUE(artifact.ok());

@@ -26,7 +26,6 @@ class FakeInvoker : public Invoker {
     response["fn"] = request.callee;
     sim_->Schedule(delay_, [done, response] { done(response); });
   }
-  using Invoker::Invoke;
 
   struct Call {
     std::string caller;

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/sim/legacy_event_loop.h"
+#include "tests/sim/legacy_event_loop.h"
 #include "src/sim/simulation.h"
 
 namespace quilt {

@@ -14,7 +14,6 @@ class FixedLatencyService : public Invoker {
     ++invocations;
     sim_->Schedule(latency_, [done = std::move(request.done)] { done(Json::MakeObject()); });
   }
-  using Invoker::Invoke;
 
   int64_t invocations = 0;
 
@@ -102,7 +101,6 @@ TEST(OpenLoopTest, PayloadFnCustomizesRequests) {
       sum += request.payload.Get("num").AsInt();
       sim_->Schedule(0, [done = std::move(request.done)] { done(Json::MakeObject()); });
     }
-    using Invoker::Invoke;
     int64_t sum = 0;
 
    private:
@@ -143,7 +141,6 @@ class AlternatingFailureService : public Invoker {
       }
     });
   }
-  using Invoker::Invoke;
 
  private:
   Simulation* sim_;
@@ -204,7 +201,6 @@ class PayloadRecordingService : public Invoker {
     sim_->Schedule(Milliseconds(1),
                    [done = std::move(request.done)] { done(Json::MakeObject()); });
   }
-  using Invoker::Invoke;
 
   std::vector<int64_t> nums;
 
