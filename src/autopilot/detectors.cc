@@ -5,16 +5,6 @@
 
 namespace quilt {
 
-const char* AdaptationActionName(AdaptationAction action) {
-  switch (action) {
-    case AdaptationAction::kReoptimize:
-      return "reoptimize";
-    case AdaptationAction::kRollback:
-      return "rollback";
-  }
-  return "unknown";
-}
-
 DetectorVerdict OomKillDetector::Evaluate(const DetectorSignals& signals) const {
   DetectorVerdict verdict;
   verdict.metric = static_cast<double>(signals.oom_kills_since_deploy);

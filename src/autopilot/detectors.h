@@ -21,8 +21,6 @@ enum class AdaptationAction {
   kRollback,    // Safety trip: revert to the unmerged baseline now.
 };
 
-const char* AdaptationActionName(AdaptationAction action);
-
 // The signals one control tick hands every detector, all derived from the
 // window that just closed. Everything here is a deterministic function of
 // the simulated run.

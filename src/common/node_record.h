@@ -35,16 +35,10 @@ struct NodeSample {
   // node's row of the tick): container spawns waiting for capacity.
   int64_t spawn_queue_depth = 0;
 
-  double CpuUtilization() const {
-    return cpu_capacity > 0.0 ? cpu_used / cpu_capacity : 0.0;
-  }
   // Share of the node doing actual work -- what infrastructure billing
   // treats as non-idle (allocation alone is paid-but-idle).
   double BusyFraction() const {
     return cpu_capacity > 0.0 ? cpu_busy / cpu_capacity : 0.0;
-  }
-  double MemoryUtilization() const {
-    return memory_capacity_mb > 0.0 ? memory_used_mb / memory_capacity_mb : 0.0;
   }
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/common/strings.h"
-#include "src/tracing/chrome_trace_exporter.h"
 
 namespace quilt {
 
@@ -84,11 +83,8 @@ QuiltController::QuiltController(Simulation* sim, Platform* platform, Controller
       monitor_(sim, &metrics_store_, [platform] { return platform->SampleResources(); },
                options.monitor_interval) {
   platform_->ConnectTracer(&tracer_);
-  // The same sampling tick also snapshots the failure taxonomy (timeouts,
-  // retries, breaker activity) per deployment.
-  monitor_.set_failure_source([platform] { return platform->SampleFailures(); });
-  // ... and, when the platform runs a finite node fleet, per-node
-  // utilization/stranding (empty while the infinite pool is in effect).
+  // The same sampling tick also snapshots per-node utilization/stranding
+  // (empty while the platform runs the infinite pool).
   monitor_.set_node_source([platform] { return platform->SampleNodes(); });
 }
 
@@ -900,15 +896,6 @@ Result<WorkflowLatencySummary> MetricsView::SummarizeWorkflowLatency(
   }
   c.metrics_store_.AddWorkflowLatency(summary);
   return summary;
-}
-
-Result<std::string> MetricsView::ExportTraceChrome(int64_t trace_id) {
-  for (const Trace& trace : CollectTraces()) {
-    if (trace.trace_id == trace_id) {
-      return ExportChromeTrace(trace);
-    }
-  }
-  return NotFoundError(StrCat("no trace ", trace_id, " in the profile window"));
 }
 
 QuiltController::CostReport MetricsView::CollectCostReport() {

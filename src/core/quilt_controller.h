@@ -254,7 +254,7 @@ class QuiltController {
   };
 
   // The query surface over everything the controller observes: traces,
-  // latency summaries, Chrome exports, cost reports and the record streams.
+  // latency summaries, cost reports and the record streams.
   MetricsView metrics();
 
   // The typed verdict of ControllerOptions::Validate on the live options.
@@ -364,10 +364,10 @@ class QuiltController {
                                                  const std::string& root_handle);
 };
 
-// The controller's one query surface: traces, latency summaries, Chrome
-// exports, cost reports, and the record streams (decisions, adaptations,
-// compiles, node samples, ...). Benches, tests and the autopilot read
-// telemetry through this instead of reaching through four subsystems.
+// The controller's one query surface: traces, latency summaries, cost
+// reports, and the record streams (decisions, adaptations, compiles, node
+// samples, ...). Benches, tests and the autopilot read telemetry through
+// this instead of reaching through four subsystems.
 // Lightweight handle: copyable, valid as long as the controller lives.
 class MetricsView {
  public:
@@ -388,9 +388,6 @@ class MetricsView {
   // during a two-version guard window.
   Result<WorkflowLatencySummary> SummarizeWorkflowLatency(
       const std::string& root_handle, TraceVersionFilter filter = TraceVersionFilter::kAll);
-  // Chrome trace-event JSON (chrome://tracing-loadable) for one trace id
-  // from the window.
-  Result<std::string> ExportTraceChrome(int64_t trace_id);
   // Snapshots the platform's cost meter: per-handle bill lines (appended to
   // the MetricsStore as canonical CostRecords) plus infrastructure dollars
   // derived from the window's NodeSamples, so stranded capacity shows up as

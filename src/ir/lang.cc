@@ -18,22 +18,6 @@ const char* LangName(Lang lang) {
   return "?";
 }
 
-const char* StringKindName(StringKind kind) {
-  switch (kind) {
-    case StringKind::kCChar:
-      return "char*";
-    case StringKind::kCppString:
-      return "std::string";
-    case StringKind::kRustString:
-      return "std::string::String";
-    case StringKind::kGoString:
-      return "go.string";
-    case StringKind::kSwiftString:
-      return "Swift.String";
-  }
-  return "?";
-}
-
 StringKind NativeStringKind(Lang lang) {
   switch (lang) {
     case Lang::kC:
@@ -48,22 +32,6 @@ StringKind NativeStringKind(Lang lang) {
       return StringKind::kSwiftString;
   }
   return StringKind::kCChar;
-}
-
-const char* FrontendCompilerName(Lang lang) {
-  switch (lang) {
-    case Lang::kC:
-      return "clang";
-    case Lang::kCpp:
-      return "clang++";
-    case Lang::kRust:
-      return "rustc+nightly";
-    case Lang::kGo:
-      return "gollvm";
-    case Lang::kSwift:
-      return "swiftc";
-  }
-  return "?";
 }
 
 }  // namespace quilt

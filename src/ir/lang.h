@@ -21,13 +21,9 @@ enum class StringKind {
 };
 
 const char* LangName(Lang lang);
-const char* StringKindName(StringKind kind);
 
 // The string type a language's serverless API uses natively.
 StringKind NativeStringKind(Lang lang);
-
-// The compiler binary that would lower this language to LLVM IR.
-const char* FrontendCompilerName(Lang lang);
 
 }  // namespace quilt
 

@@ -8,20 +8,6 @@
 
 namespace quilt {
 
-const char* SolverChoiceName(SolverChoice choice) {
-  switch (choice) {
-    case SolverChoice::kAuto:
-      return "auto";
-    case SolverChoice::kOptimal:
-      return "optimal";
-    case SolverChoice::kHeuristic:
-      return "dih-sweep";
-    case SolverChoice::kGrasp:
-      return "grasp";
-  }
-  return "unknown";
-}
-
 namespace {
 
 // FNV-1a style mixing over 64-bit words.

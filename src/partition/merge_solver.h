@@ -25,8 +25,6 @@ class IlpSolveCache;
 // resolved by the DecisionEngine).
 enum class SolverChoice { kAuto, kOptimal, kHeuristic, kGrasp };
 
-const char* SolverChoiceName(SolverChoice choice);
-
 struct SolverOptions {
   // --- Shared Phase-2 ILP knobs.
   double mip_gap = 0.0;         // Stop within this relative gap (0 = exact).

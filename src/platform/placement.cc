@@ -16,19 +16,6 @@ const char* PlacementPolicyName(PlacementPolicy policy) {
   return "unknown";
 }
 
-bool ParsePlacementPolicy(std::string_view name, PlacementPolicy* out) {
-  if (name == "first-fit") {
-    *out = PlacementPolicy::kFirstFit;
-  } else if (name == "best-fit") {
-    *out = PlacementPolicy::kBestFit;
-  } else if (name == "least-loaded") {
-    *out = PlacementPolicy::kLeastLoaded;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 int PickNode(const std::vector<WorkerNode>& nodes, double cpu, double memory_mb,
              PlacementPolicy policy) {
   int best = -1;

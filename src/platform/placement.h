@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace quilt {
@@ -29,8 +28,6 @@ namespace quilt {
 enum class PlacementPolicy { kFirstFit = 0, kBestFit, kLeastLoaded };
 
 const char* PlacementPolicyName(PlacementPolicy policy);
-// Parses "first-fit" | "best-fit" | "least-loaded"; false on unknown names.
-bool ParsePlacementPolicy(std::string_view name, PlacementPolicy* out);
 
 // One finite-capacity worker node. `placements`/`kills` are cumulative over
 // the node's lifetime; `containers` is the live count. A failed node keeps
@@ -94,13 +91,6 @@ struct NodeStats {
   bool cordoned = false;
   bool provisioning = false;
   bool retired = false;
-
-  double CpuUtilization() const {
-    return cpu_capacity > 0.0 ? cpu_used / cpu_capacity : 0.0;
-  }
-  double MemoryUtilization() const {
-    return memory_capacity_mb > 0.0 ? memory_used_mb / memory_capacity_mb : 0.0;
-  }
 };
 
 // Canonical one-line rendering (fixed precision, fixed field order): the

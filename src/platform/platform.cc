@@ -149,13 +149,13 @@ Status Platform::UpdateFunction(DeploymentSpec spec) {
   if (!spec.behavior.valid()) {
     return InvalidArgumentError("updated deployment must have exactly one behavior");
   }
-  if (dep->canary != nullptr) {
-    // A full update supersedes any canary experiment in flight.
-    QUILT_RETURN_IF_ERROR(AbortCanary(spec.handle));
-  }
+  // A full update supersedes any canary experiment in flight: the canary and
+  // the old control stop serving at once, so the version-change step runs
+  // once, for the new version (never spawning for the one it replaces).
+  dep->canary.reset();
   dep->spec = std::move(spec);
   dep->version = ++dep->version_counter;
-  RetireStaleContainers(*dep);
+  ChangeVersion(*dep);
   return Status::Ok();
 }
 
@@ -199,14 +199,7 @@ Status Platform::PromoteCanary(const std::string& handle) {
   dep->spec = std::move(dep->canary->spec);
   dep->version = dep->canary->version;
   dep->canary.reset();
-  // Queued control requests drain onto the promoted version; the experiment
-  // is over, so they are no longer canary-tagged.
-  for (PendingRequest& request : dep->pending) {
-    request.ctx->version = dep->version;
-    request.ctx->span.canary = false;
-  }
-  RetireStaleContainers(*dep);
-  DrainPending(*dep);
+  ChangeVersion(*dep);
   return Status::Ok();
 }
 
@@ -218,19 +211,22 @@ Status Platform::AbortCanary(const std::string& handle) {
   if (dep->canary == nullptr) {
     return FailedPreconditionError(StrCat("function '", handle, "' has no staged canary"));
   }
-  const int64_t canary_version = dep->canary->version;
   dep->canary.reset();
-  // Re-queue the canary's pending requests onto the control version; its
-  // containers (now stale) retire as their in-flight work finishes.
-  for (PendingRequest& request : dep->pending) {
-    if (request.ctx->version == canary_version) {
-      request.ctx->version = dep->version;
-      request.ctx->span.canary = false;
-    }
-  }
-  RetireStaleContainers(*dep);
-  DrainPending(*dep);
+  ChangeVersion(*dep);
   return Status::Ok();
+}
+
+void Platform::ChangeVersion(Deployment& dep) {
+  assert(dep.canary == nullptr);
+  // Rule 1. The experiment is over, so no queued request stays canary-tagged.
+  for (PendingRequest& request : dep.pending) {
+    request.ctx->version = dep.version;
+    request.ctx->span.canary = false;
+  }
+  // Replicas of dead versions retire as their in-flight work finishes.
+  RetireStaleContainers(dep);
+  DrainPending(dep);
+  EnsureReplica(dep, dep.version);
 }
 
 bool Platform::HasCanary(const std::string& handle) const {
@@ -259,15 +255,24 @@ Status Platform::RemoveFunction(const std::string& handle) {
   if (dep == nullptr) {
     return NotFoundError(StrCat("function '", handle, "' not deployed"));
   }
-  for (const auto& container : dep->containers) {
+  // Queued requests leave first, so nothing below drains or spawns for them.
+  std::deque<PendingRequest> queued = std::move(dep->pending);
+  dep->pending.clear();
+  // Kill from a snapshot, as FailNode does: a busy replica's abort handlers
+  // re-enter the deployment (retire, drain) and edit its replica list.
+  const std::vector<std::shared_ptr<Container>> replicas = dep->containers;
+  for (const auto& container : replicas) {
     if (container->state() != ContainerState::kKilled) {
-      ReleaseNodeCapacity(*container);
+      RemoveReplica(*dep, container, ContainerKillCause::kNone);
     }
-    container->Kill();
   }
   // The interned id stays reserved; a later re-deploy of the same handle
   // reuses the slot.
   deployments_[static_cast<size_t>(dep->id)].reset();
+  // Answered as a request routed after the removal is.
+  for (PendingRequest& request : queued) {
+    request.respond(NotFoundError("function removed while queued"));
+  }
   return Status::Ok();
 }
 
@@ -383,7 +388,7 @@ std::vector<NodeSample> Platform::SampleNodes() const {
 void Platform::EnqueueSpawn(Deployment& dep, int64_t version) {
   // One parked spawn per container the deployment may still add: saturated
   // routing retries must not grow the queue without bound.
-  if (dep.queued_spawns >= SpecForVersion(dep, version).max_scale) {
+  if (dep.queued_spawns >= dep.SpecFor(version).max_scale) {
     return;
   }
   ++dep.queued_spawns;
@@ -404,9 +409,9 @@ void Platform::ScheduleSpawnDrain() {
     return;
   }
   spawn_drain_scheduled_ = true;
-  // Zero-delay event (due-now FIFO): capacity is released inside kill/retire
-  // loops that hold iterators into dep.containers -- the drain must never
-  // mutate those synchronously. With the node model off, no event is ever
+  // Zero-delay event (due-now FIFO): capacity is released inside kill,
+  // retire and drain passes over a deployment's replicas; the spawn drain
+  // never runs underneath them. With the node model off, no event is ever
   // scheduled here, keeping the infinite-pool event sequence untouched.
   sim_->Schedule(0, [this] {
     spawn_drain_scheduled_ = false;
@@ -428,35 +433,15 @@ void Platform::DrainSpawnQueue() {
     if (dep->queued_spawns > 0) {
       --dep->queued_spawns;
     }
-    const bool live_version =
-        version == dep->version ||
-        (dep->canary != nullptr && version == dep->canary->version);
-    if (!live_version) {
+    if (!dep->IsLive(version)) {
       continue;  // The version died (update / canary resolution).
     }
     // Spawn only if the deployment still needs it: requests of this version
     // wait and the scale cap allows another container. Parked warm-container
     // spawns with no demand are dropped -- warmth is a latency hint, not a
     // capacity reservation.
-    bool needed = false;
-    for (const PendingRequest& request : dep->pending) {
-      if (request.ctx->version == version) {
-        needed = true;
-        break;
-      }
-    }
-    if (!needed) {
-      continue;
-    }
-    int live = 0;
-    for (const auto& container : dep->containers) {
-      auto version_it = dep->container_versions.find(container->id());
-      if (container->state() != ContainerState::kKilled &&
-          version_it != dep->container_versions.end() && version_it->second == version) {
-        ++live;
-      }
-    }
-    if (live >= SpecForVersion(*dep, version).max_scale) {
+    if (!dep->HasQueued(version) ||
+        dep->LiveReplicas(version) >= dep->SpecFor(version).max_scale) {
       continue;
     }
     CreateContainer(*dep, version);  // May re-park if capacity vanished again.
@@ -493,13 +478,10 @@ Platform::SpawnDemand Platform::QueuedSpawnDemand() const {
     if (dep == nullptr) {
       continue;
     }
-    const bool live_version =
-        version == dep->version ||
-        (dep->canary != nullptr && version == dep->canary->version);
-    if (!live_version) {
+    if (!dep->IsLive(version)) {
       continue;  // Dead entries are skipped at drain time too.
     }
-    const ContainerConfig& container = SpecForVersion(*dep, version).container;
+    const ContainerConfig& container = dep->SpecFor(version).container;
     ++demand.count;
     demand.cpu += container.cpu_limit;
     demand.memory_mb += container.memory_limit_mb;
@@ -540,39 +522,31 @@ void Platform::DrainCordonedNode(int node_id) {
     if (dep == nullptr) {
       continue;
     }
-    for (auto it = dep->containers.begin(); it != dep->containers.end();) {
-      const std::shared_ptr<Container>& container = *it;
-      // Only ready, idle containers die; cold-starting ones were just spawned
-      // for waiting demand and busy ones finish their in-flight requests
-      // first (the node stays cordoned until a later drain pass gets them).
-      if (container->node_id() == node_id &&
-          container->state() == ContainerState::kReady &&
+    // Drain safety: never kill the deployment's last replica off the node. A
+    // respawn would have to wait for capacity -- possibly a full node
+    // provision -- turning a routine drain into a tail-latency spike. The
+    // survivor pins the node (it cannot empty, so it cannot retire) until
+    // demand elsewhere spawns a sibling.
+    const bool live_elsewhere =
+        std::any_of(dep->containers.begin(), dep->containers.end(), [node_id](const auto& c) {
+          return c->state() != ContainerState::kKilled && c->node_id() != node_id;
+        });
+    if (!live_elsewhere) {
+      continue;
+    }
+    // Only ready, idle containers die; cold-starting ones were just spawned
+    // for waiting demand and busy ones finish their in-flight requests first
+    // (the node stays cordoned until a later drain pass gets them).
+    std::vector<std::shared_ptr<Container>> idle;
+    for (const auto& container : dep->containers) {
+      if (container->node_id() == node_id && container->state() == ContainerState::kReady &&
           container->active_requests() == 0) {
-        // Drain safety: never kill the deployment's last replica off the
-        // node. A respawn would have to wait for capacity -- possibly a full
-        // node provision -- turning a routine drain into a tail-latency
-        // spike. The survivor pins the node (it cannot empty, so it cannot
-        // retire) until demand elsewhere spawns a sibling.
-        int live_elsewhere = 0;
-        for (const auto& other : dep->containers) {
-          if (other != container && other->state() != ContainerState::kKilled &&
-              other->node_id() != node_id) {
-            ++live_elsewhere;
-          }
-        }
-        if (live_elsewhere == 0) {
-          ++it;
-          continue;
-        }
-        // Same mechanics as RetireStaleContainers: a planned decommission is
-        // not a failure, so no kill cause or stat is charged.
-        ReleaseNodeCapacity(*container);
-        dep->container_versions.erase(container->id());
-        container->Kill();
-        it = dep->containers.erase(it);
-      } else {
-        ++it;
+        idle.push_back(container);
       }
+    }
+    // A planned decommission is not a failure: no kill cause or stat.
+    for (const auto& container : idle) {
+      RemoveReplica(*dep, container, ContainerKillCause::kNone);
     }
   }
 }
@@ -934,45 +908,30 @@ SimDuration Platform::BreakerOpenNs(const std::string& handle) const {
   return total;
 }
 
-std::vector<FailureSample> Platform::SampleFailures() const {
-  std::vector<FailureSample> samples;
-  for (const auto& dep : deployments_) {
-    if (dep == nullptr) {
-      continue;
-    }
-    FailureSample sample;
-    sample.handle = dep->spec.handle;
-    sample.timestamp = sim_->now();
-    sample.completed_cum = dep->stats.completed;
-    sample.failed_cum = dep->stats.failed;
-    sample.timeouts_cum = dep->stats.timeouts;
-    sample.retries_cum = dep->stats.retries;
-    sample.crashes_cum = dep->stats.crashes;
-    sample.oom_kills_cum = dep->stats.oom_kills;
-    sample.breaker_rejected_cum = dep->stats.breaker_rejected;
-    sample.breaker_open_ns_cum = BreakerOpenNs(dep->spec.handle);
-    samples.push_back(std::move(sample));
-  }
-  return samples;
+int Platform::Deployment::LiveReplicas(int64_t v) const {
+  return static_cast<int>(std::count_if(containers.begin(), containers.end(), [v](const auto& c) {
+    return c->version() == v && c->state() != ContainerState::kKilled;
+  }));
 }
 
-const DeploymentSpec& Platform::SpecForVersion(const Deployment& dep, int64_t version) const {
-  if (dep.canary != nullptr && version == dep.canary->version) {
-    return dep.canary->spec;
-  }
-  return dep.spec;
+bool Platform::Deployment::HasQueued(int64_t v) const {
+  return std::any_of(pending.begin(), pending.end(),
+                     [v](const PendingRequest& request) { return request.ctx->version == v; });
 }
 
-SimDuration Platform::ColdStartDelay(const Deployment& dep, int64_t version) const {
-  const DeploymentSpec& spec = SpecForVersion(dep, version);
+SimDuration Platform::ColdStartDelay(const DeploymentSpec& spec) const {
   const double image_mb =
       static_cast<double>(spec.container.image_size_bytes) / (1024.0 * 1024.0);
   return config_.cold_start_base + Milliseconds(image_mb * config_.image_fetch_ms_per_mb) +
          config_.eager_lib_load_per_lib * spec.container.eager_libs;
 }
 
-double Platform::RequestFootprintMb(const Deployment& dep, int64_t version) const {
-  const DeployedBehavior& behavior = SpecForVersion(dep, version).behavior;
+namespace {
+
+// The working set one request of this spec reserves on dispatch -- what the
+// footprint-aware memory admission accounts for.
+double RequestFootprintMb(const DeploymentSpec& spec) {
+  const DeployedBehavior& behavior = spec.behavior;
   if (behavior.single != nullptr) {
     return behavior.single->request_memory_mb;
   }
@@ -985,24 +944,22 @@ double Platform::RequestFootprintMb(const Deployment& dep, int64_t version) cons
   return 0.0;
 }
 
+}  // namespace
+
 std::shared_ptr<Container> Platform::SelectContainer(Deployment& dep, int64_t version) const {
-  const DeploymentSpec& spec = SpecForVersion(dep, version);
+  const DeploymentSpec& spec = dep.SpecFor(version);
   // The admission check must account for the candidate request's own working
   // set: when a deep backlog drains, each admission used to sneak in just
   // under the threshold and collectively push the pod far past it.
-  const double footprint_mb = RequestFootprintMb(dep, version);
+  const double footprint_mb = RequestFootprintMb(spec);
+  int inflight_cap = config_.max_requests_per_container;
+  if (spec.max_concurrent_requests > 0) {
+    inflight_cap = std::min(inflight_cap, spec.max_concurrent_requests);
+  }
   std::shared_ptr<Container> best;
   for (const auto& container : dep.containers) {
-    if (container->state() != ContainerState::kReady) {
-      continue;
-    }
-    auto version_it = dep.container_versions.find(container->id());
-    if (version_it == dep.container_versions.end() || version_it->second != version) {
-      continue;  // Retiring container, or one serving the other version.
-    }
-    int inflight_cap = config_.max_requests_per_container;
-    if (spec.max_concurrent_requests > 0) {
-      inflight_cap = std::min(inflight_cap, spec.max_concurrent_requests);
+    if (container->state() != ContainerState::kReady || container->version() != version) {
+      continue;  // Cold-starting, or retiring / serving the other version.
     }
     if (container->active_requests() >= inflight_cap) {
       continue;
@@ -1025,7 +982,7 @@ std::shared_ptr<Container> Platform::SelectContainer(Deployment& dep, int64_t ve
 }
 
 void Platform::CreateContainer(Deployment& dep, int64_t version) {
-  const DeploymentSpec& spec = SpecForVersion(dep, version);
+  const DeploymentSpec& spec = dep.SpecFor(version);
   int node_id = -1;
   if (placement_.enabled()) {
     node_id = placement_.Place(spec.container.cpu_limit, spec.container.memory_limit_mb);
@@ -1038,20 +995,13 @@ void Platform::CreateContainer(Deployment& dep, int64_t version) {
     }
   }
   auto container = std::make_shared<Container>(sim_, dep.spec.handle, next_container_id_++,
-                                               spec.container);
+                                               spec.container, version);
   container->set_node_id(node_id);
   dep.containers.push_back(container);
-  dep.container_versions[container->id()] = version;
-  ++dep.stats.containers_created;
-  ++dep.stats.cold_starts;
-  if (dep.canary != nullptr) {
-    DeploymentStats& vs =
-        version == dep.canary->version ? dep.canary->stats : dep.canary->control_stats;
-    ++vs.containers_created;
-    ++vs.cold_starts;
-  }
+  dep.Charge(version, &DeploymentStats::containers_created);
+  dep.Charge(version, &DeploymentStats::cold_starts);
   const HandleId id = dep.id;
-  sim_->Schedule(ColdStartDelay(dep, version), [this, id, container] {
+  sim_->Schedule(ColdStartDelay(spec), [this, id, container] {
     if (container->state() == ContainerState::kKilled) {
       return;
     }
@@ -1108,15 +1058,13 @@ void Platform::RouteRequest(Deployment& dep, std::shared_ptr<CallContext> ctx,
     // retries keep their first assignment (one logical call measures one
     // version) unless that version died (canary promoted/aborted), in which
     // case they fall back to the control.
-    const bool canary_live =
-        dep.canary != nullptr && ctx->version == dep.canary->version;
     if (ctx->version == 0) {
       ctx->version = AssignVersion(dep);
-    } else if (ctx->version != dep.version && !canary_live) {
+    } else if (!dep.IsLive(ctx->version)) {
       ctx->version = dep.version;
     }
     if (ctx->traced) {
-      ctx->span.canary = dep.canary != nullptr && ctx->version == dep.canary->version;
+      ctx->span.canary = dep.IsCanary(ctx->version);
     }
     std::shared_ptr<Container> container = SelectContainer(dep, ctx->version);
     if (container != nullptr) {
@@ -1128,15 +1076,7 @@ void Platform::RouteRequest(Deployment& dep, std::shared_ptr<CallContext> ctx,
     dep.pending.push_back(PendingRequest{std::move(ctx), sim_->now(), std::move(respond)});
     dep.stats.pending_peak =
         std::max(dep.stats.pending_peak, static_cast<int64_t>(dep.pending.size()));
-    int live = 0;
-    for (const auto& c : dep.containers) {
-      auto version_it = dep.container_versions.find(c->id());
-      if (c->state() != ContainerState::kKilled && version_it != dep.container_versions.end() &&
-          version_it->second == version) {
-        ++live;
-      }
-    }
-    if (live < SpecForVersion(dep, version).max_scale) {
+    if (dep.LiveReplicas(version) < dep.SpecFor(version).max_scale) {
       CreateContainer(dep, version);
     }
   });
@@ -1188,7 +1128,7 @@ void Platform::Dispatch(Deployment& dep, const std::shared_ptr<Container>& conta
   const FaultInjector::DispatchFault injected =
       injector_.enabled() ? injector_.OnDispatch(dep.spec.handle, sim_->now())
                           : FaultInjector::DispatchFault{};
-  ExecuteRequest(env, SpecForVersion(dep, ctx->version).behavior, ctx->payload,
+  ExecuteRequest(env, dep.SpecFor(ctx->version).behavior, ctx->payload,
                  /*remote_entry=*/true,
                  [this, id, container, ctx, dispatch_start = now, cold,
                   respond = std::move(respond)](Result<Json> result) {
@@ -1201,30 +1141,16 @@ void Platform::Dispatch(Deployment& dep, const std::shared_ptr<Container>& conta
                      // Bill this attempt (§8 metering): the exec window at
                      // the serving version's *configured* limits. Every
                      // retry attempt lands here, success or failure.
-                     const DeploymentSpec& billed_spec = SpecForVersion(dep, ctx->version);
-                     const bool canary_attempt =
-                         dep.canary != nullptr && ctx->version == dep.canary->version;
+                     const DeploymentSpec& billed_spec = dep.SpecFor(ctx->version);
                      const SimDuration exec_ns =
                          std::max<SimDuration>(0, sim_->now() - dispatch_start);
                      cost_meter_.MeterAttempt(billed_spec.handle, (exec_ns + 999) / 1000,
                                               (cold + 999) / 1000,
                                               billed_spec.container.memory_limit_mb,
-                                              billed_spec.container.cpu_limit, canary_attempt);
-                     if (result.ok()) {
-                       ++dep.stats.completed;
-                     } else {
-                       ++dep.stats.failed;
-                     }
-                     if (dep.canary != nullptr) {
-                       DeploymentStats& vs = ctx->version == dep.canary->version
-                                                 ? dep.canary->stats
-                                                 : dep.canary->control_stats;
-                       if (result.ok()) {
-                         ++vs.completed;
-                       } else {
-                         ++vs.failed;
-                       }
-                     }
+                                              billed_spec.container.cpu_limit,
+                                              dep.IsCanary(ctx->version));
+                     dep.Charge(ctx->version, result.ok() ? &DeploymentStats::completed
+                                                          : &DeploymentStats::failed);
                      RetireStaleContainers(dep);
                      DrainPending(dep);
                    }
@@ -1259,71 +1185,64 @@ void Platform::DrainPending(Deployment& dep) {
   dep.draining = false;
 }
 
+void Platform::RemoveReplica(Deployment& dep, std::shared_ptr<Container> container,
+                             ContainerKillCause cause) {
+  ReleaseNodeCapacity(*container);  // No-op for a failed node's capacity.
+  std::erase(dep.containers, container);
+  container->Kill(cause);
+  EnsureReplica(dep, container->version());
+}
+
+void Platform::EnsureReplica(Deployment& dep, int64_t version) {
+  if (!dep.IsLive(version) || dep.SpecFor(version).max_scale < 1 ||
+      dep.LiveReplicas(version) > 0 || !dep.HasQueued(version)) {
+    return;
+  }
+  for (const auto& [id, parked] : spawn_queue_) {
+    if (id == dep.id && parked == version) {
+      return;
+    }
+  }
+  CreateContainer(dep, version);
+}
+
 void Platform::KillContainer(Deployment& dep, const std::shared_ptr<Container>& container,
                              KillReason reason) {
   if (container->state() == ContainerState::kKilled) {
     return;  // Already dead: a kill is charged to exactly one cause, once.
   }
-  // Attribute the kill to the version the container served, while the id is
-  // still in the ledger.
-  DeploymentStats* version_stats = nullptr;
-  if (dep.canary != nullptr) {
-    auto version_it = dep.container_versions.find(container->id());
-    const bool is_canary =
-        version_it != dep.container_versions.end() && version_it->second == dep.canary->version;
-    version_stats = is_canary ? &dep.canary->stats : &dep.canary->control_stats;
-  }
+  int64_t DeploymentStats::*counter = &DeploymentStats::crashes;
   ContainerKillCause cause = ContainerKillCause::kCrash;
   switch (reason) {
     case KillReason::kOom:
-      ++dep.stats.oom_kills;
-      if (version_stats != nullptr) {
-        ++version_stats->oom_kills;
-      }
+      counter = &DeploymentStats::oom_kills;
       cause = ContainerKillCause::kOom;
       break;
     case KillReason::kCrash:
     case KillReason::kInjectedCrash:
-      ++dep.stats.crashes;
-      if (version_stats != nullptr) {
-        ++version_stats->crashes;
-      }
       break;
     case KillReason::kNodeFailure:
-      ++dep.stats.node_failure_kills;
-      if (version_stats != nullptr) {
-        ++version_stats->node_failure_kills;
-      }
+      counter = &DeploymentStats::node_failure_kills;
       cause = ContainerKillCause::kNodeFailure;
       break;
   }
+  dep.Charge(container->version(), counter);
   if (placement_.enabled() && container->node_id() >= 0) {
     placement_.RecordKill(container->node_id());
   }
-  ReleaseNodeCapacity(*container);  // No-op for a failed node's capacity.
-  dep.containers.erase(std::remove(dep.containers.begin(), dep.containers.end(), container),
-                       dep.containers.end());
-  dep.container_versions.erase(container->id());
-  container->Kill(cause);
+  RemoveReplica(dep, container, cause);
   dep.stats.AssertNonNegative();
 }
 
 void Platform::RetireStaleContainers(Deployment& dep) {
-  for (auto it = dep.containers.begin(); it != dep.containers.end();) {
-    const std::shared_ptr<Container>& container = *it;
-    auto version_it = dep.container_versions.find(container->id());
-    const bool live_version =
-        version_it != dep.container_versions.end() &&
-        (version_it->second == dep.version ||
-         (dep.canary != nullptr && version_it->second == dep.canary->version));
-    if (!live_version && container->active_requests() == 0) {
-      ReleaseNodeCapacity(*container);
-      dep.container_versions.erase(container->id());
-      container->Kill();
-      it = dep.containers.erase(it);
-    } else {
-      ++it;
+  std::vector<std::shared_ptr<Container>> stale;
+  for (const auto& container : dep.containers) {
+    if (!dep.IsLive(container->version()) && container->active_requests() == 0) {
+      stale.push_back(container);
     }
+  }
+  for (const auto& container : stale) {
+    RemoveReplica(dep, container, ContainerKillCause::kNone);
   }
 }
 

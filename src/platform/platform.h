@@ -244,9 +244,6 @@ class Platform : public Invoker {
   SimDuration BreakerOpenNs(const std::string& handle) const;
   // Injection bookkeeping (how many faults the plan actually fired).
   const FaultStats& fault_stats() const { return injector_.stats(); }
-  // Per-deployment failure snapshot for the metrics pipeline ("cAdvisor"
-  // samples the failure taxonomy the same way it samples CPU/memory).
-  std::vector<FailureSample> SampleFailures() const;
   // Dollar-cost attribution: one MeterAttempt per dispatch attempt (retries
   // and failures included) under config().pricing, plus the per-function
   // vCPU-seconds ledger (§8 extension) the executor's bill_cpu hook feeds,
@@ -353,6 +350,9 @@ class Platform : public Invoker {
     DeploymentStats control_stats;  // Requests the control served since staging.
   };
 
+  // One deployment: the one owner of its versions and replicas. A version is
+  // live while it is the control (`version`) or the staged canary; every
+  // replica records the version it serves (Container::version).
   struct Deployment {
     HandleId id = kInvalidHandle;  // Interned spec.handle.
     DeploymentSpec spec;
@@ -362,8 +362,9 @@ class Platform : public Invoker {
     // version and resurrect.
     int64_t version_counter = 1;
     std::unique_ptr<CanaryTrack> canary;
+    // Replicas in creation order: routing's least-loaded tie-break and every
+    // kill, retire and drain walk them in this order.
     std::vector<std::shared_ptr<Container>> containers;
-    std::map<int64_t, int64_t> container_versions;  // container id -> version.
     std::deque<PendingRequest> pending;
     SimTime last_routed = -1;
     DeploymentStats stats;
@@ -380,6 +381,21 @@ class Platform : public Invoker {
     // Spawns of this deployment parked in the platform's spawn queue
     // (bounds duplicate enqueues while the cluster is saturated).
     int queued_spawns = 0;
+
+    bool IsCanary(int64_t v) const { return canary != nullptr && v == canary->version; }
+    bool IsLive(int64_t v) const { return v == version || IsCanary(v); }
+    const DeploymentSpec& SpecFor(int64_t v) const { return IsCanary(v) ? canary->spec : spec; }
+    // Counts one event of version `v` in the deployment's totals and, while a
+    // canary is staged, in the counters of the arm `v` belongs to.
+    void Charge(int64_t v, int64_t DeploymentStats::*counter) {
+      ++(stats.*counter);
+      if (canary != nullptr) {
+        ++((IsCanary(v) ? canary->stats : canary->control_stats).*counter);
+      }
+    }
+    // Replicas of `v` that are not killed (cold-starting ones included).
+    int LiveReplicas(int64_t v) const;
+    bool HasQueued(int64_t v) const;
   };
 
   // --- Handle-interned deployment lookup. Invoke interns the callee once;
@@ -391,19 +407,22 @@ class Platform : public Invoker {
   // Interns `handle` and returns its (possibly fresh) deployment slot id.
   HandleId InternHandle(std::string_view handle);
 
-  // The spec a given version id runs (the control's or the staged canary's).
-  const DeploymentSpec& SpecForVersion(const Deployment& dep, int64_t version) const;
-  SimDuration ColdStartDelay(const Deployment& dep, int64_t version) const;
-  // The working set one request of this version reserves on dispatch -- what
-  // the footprint-aware memory admission accounts for.
-  double RequestFootprintMb(const Deployment& dep, int64_t version) const;
+  SimDuration ColdStartDelay(const DeploymentSpec& spec) const;
   std::shared_ptr<Container> SelectContainer(Deployment& dep, int64_t version) const;
   void CreateContainer(Deployment& dep, int64_t version);
+  // Rule 2 of a version swap: a live version with queued requests always has
+  // a replica or a parked spawn. Spawns one if it has neither.
+  void EnsureReplica(Deployment& dep, int64_t version);
+  // The version-change step UpdateFunction, PromoteCanary and AbortCanary
+  // share. Each has just ended any canary, so the control is the one live
+  // version. Rule 1: every queued request moves to the control. Then stale
+  // replicas retire, the queue drains, and rule 2 holds for the control.
+  void ChangeVersion(Deployment& dep);
   // --- Node-model plumbing (all no-ops with an infinite pool).
   // Parks a spawn that found no node with room; bounded per deployment.
   void EnqueueSpawn(Deployment& dep, int64_t version);
   // Frees the container's node capacity and, if spawns wait, schedules a
-  // zero-delay drain (never synchronous: callers hold container iterators).
+  // zero-delay drain (never synchronous: callers are mid-pass over replicas).
   void ReleaseNodeCapacity(const Container& container);
   void ScheduleSpawnDrain();
   void DrainSpawnQueue();
@@ -417,8 +436,17 @@ class Platform : public Invoker {
                 const std::shared_ptr<CallContext>& ctx, SimTime enqueued_at,
                 std::function<void(Result<Json>)> respond);
   void DrainPending(Deployment& dep);
+  // The one replica-removal path: frees the node capacity, drops the replica
+  // from the deployment, kills it (its in-flight requests fail with `cause`)
+  // and restores rule 2 for its version. Kill, retire, drain and remove all
+  // end here.
+  void RemoveReplica(Deployment& dep, std::shared_ptr<Container> container,
+                     ContainerKillCause cause);
+  // A failure kill: charges the cause to the deployment and the replica's
+  // arm, then removes the replica.
   void KillContainer(Deployment& dep, const std::shared_ptr<Container>& container,
                      KillReason reason);
+  // Removes idle replicas of versions that no longer serve.
   void RetireStaleContainers(Deployment& dep);
 
   // Failure-handling path (timeout, retry, breaker, fault injection).

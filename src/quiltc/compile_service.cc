@@ -151,13 +151,6 @@ void CompileService::LruCache<V>::Insert(uint64_t key, V value) {
   }
 }
 
-template <typename V>
-void CompileService::LruCache<V>::Clear() {
-  entries_.clear();
-  index_.clear();
-  evictions_ = 0;
-}
-
 // ---------------------------------------------------------------------------
 // Planning and fingerprints.
 
@@ -852,13 +845,6 @@ CompileServiceStats CompileService::stats() const {
   out.ir_evictions = ir_cache_.evictions();
   out.artifact_evictions = artifact_cache_.evictions();
   return out;
-}
-
-void CompileService::ClearCaches() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ir_cache_.Clear();
-  artifact_cache_.Clear();
-  stats_ = CompileServiceStats();
 }
 
 }  // namespace quilt

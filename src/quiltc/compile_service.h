@@ -75,7 +75,7 @@ struct CompileServiceOptions {
   std::function<Result<IrModule>(const SourceFunction&)> frontend;
 };
 
-// Aggregate counters since construction (or the last ClearCaches()). These
+// Aggregate counters since construction. These
 // are deliberately OUTSIDE CompileRecord: hit counts depend on cache
 // configuration and call history, so they would break the record-determinism
 // contract. All counters are updated in sequential phases only, so they too
@@ -148,7 +148,6 @@ class CompileService {
 
   const CompileServiceOptions& options() const { return options_; }
   CompileServiceStats stats() const;
-  void ClearCaches();  // Drops both caches and resets stats.
 
  private:
   struct GroupPlan;  // Validated group: member sources in BFS order.
@@ -159,7 +158,6 @@ class CompileService {
     explicit LruCache(size_t capacity) : capacity_(capacity) {}
     bool Lookup(uint64_t key, V* out);  // Copies the value on hit.
     void Insert(uint64_t key, V value);
-    void Clear();
     int64_t evictions() const { return evictions_; }
 
    private:

@@ -7,20 +7,6 @@
 
 namespace quilt {
 
-const char* KillReasonName(KillReason reason) {
-  switch (reason) {
-    case KillReason::kOom:
-      return "oom";
-    case KillReason::kCrash:
-      return "crash";
-    case KillReason::kInjectedCrash:
-      return "injected_crash";
-    case KillReason::kNodeFailure:
-      return "node_failure";
-  }
-  return "unknown";
-}
-
 namespace {
 
 // Per top-level-request state shared by every nested local execution:

@@ -69,8 +69,6 @@ enum class KillReason {
   kNodeFailure,    // The worker node hosting the container failed.
 };
 
-const char* KillReasonName(KillReason reason);
-
 struct ExecutionEnv {
   Simulation* sim = nullptr;
   // shared_ptr: in-flight events may outlive the container's deployment slot

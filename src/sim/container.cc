@@ -9,9 +9,10 @@
 namespace quilt {
 
 Container::Container(Simulation* sim, std::string deployment_handle, int64_t id,
-                     ContainerConfig config)
+                     ContainerConfig config, int64_t version)
     : sim_(sim),
       deployment_handle_(std::move(deployment_handle)),
+      version_(version),
       id_(id),
       config_(config),
       created_at_(sim->now()),

@@ -35,10 +35,13 @@ enum class ContainerKillCause { kNone, kOom, kCrash, kNodeFailure };
 
 class Container {
  public:
-  Container(Simulation* sim, std::string deployment_handle, int64_t id, ContainerConfig config);
+  Container(Simulation* sim, std::string deployment_handle, int64_t id, ContainerConfig config,
+            int64_t version = 1);
 
   int64_t id() const { return id_; }
   const std::string& deployment_handle() const { return deployment_handle_; }
+  // The deployment version this replica serves, fixed for its lifetime.
+  int64_t version() const { return version_; }
   // Worker node hosting this container (-1 = infinite pool, no node model).
   int node_id() const { return node_id_; }
   void set_node_id(int node_id) { node_id_ = node_id; }
@@ -87,6 +90,7 @@ class Container {
  private:
   Simulation* sim_;
   std::string deployment_handle_;
+  int64_t version_;
   int64_t id_;
   int node_id_ = -1;
   ContainerConfig config_;

@@ -10,11 +10,6 @@ void MetricsStore::AddBatch(std::vector<ResourceSample> batch) {
                           std::make_move_iterator(batch.end()));
 }
 
-void MetricsStore::AddFailureBatch(std::vector<FailureSample> batch) {
-  pending_failures_.insert(pending_failures_.end(), std::make_move_iterator(batch.begin()),
-                           std::make_move_iterator(batch.end()));
-}
-
 void MetricsStore::FlushSamples() const {
   if (pending_samples_.empty()) {
     return;
@@ -22,16 +17,6 @@ void MetricsStore::FlushSamples() const {
   samples_.reserve(samples_.size() + pending_samples_.size());
   std::move(pending_samples_.begin(), pending_samples_.end(), std::back_inserter(samples_));
   pending_samples_.clear();
-}
-
-void MetricsStore::FlushFailures() const {
-  if (pending_failures_.empty()) {
-    return;
-  }
-  failure_samples_.reserve(failure_samples_.size() + pending_failures_.size());
-  std::move(pending_failures_.begin(), pending_failures_.end(),
-            std::back_inserter(failure_samples_));
-  pending_failures_.clear();
 }
 
 void MetricsStore::AddNodeBatch(std::vector<NodeSample> batch) {
@@ -78,18 +63,6 @@ std::map<std::string, MetricsStore::FunctionUsage> MetricsStore::Aggregate() con
   return result;
 }
 
-std::map<std::string, FailureSample> MetricsStore::LatestFailures() const {
-  FlushFailures();
-  std::map<std::string, FailureSample> latest;
-  for (const FailureSample& sample : failure_samples_) {
-    FailureSample& entry = latest[sample.handle];
-    if (entry.handle.empty() || sample.timestamp >= entry.timestamp) {
-      entry = sample;
-    }
-  }
-  return latest;
-}
-
 ResourceMonitor::ResourceMonitor(Simulation* sim, MetricsStore* store, SampleSource source,
                                  SimDuration interval)
     : sim_(sim), store_(store), source_(std::move(source)), interval_(interval) {}
@@ -109,9 +82,6 @@ void ResourceMonitor::Tick() {
   // Each tick hands its whole sample vector to the store as one batch; the
   // store defers the fold into the long-lived series until somebody reads.
   store_->AddBatch(source_());
-  if (failure_source_) {
-    store_->AddFailureBatch(failure_source_());
-  }
   if (node_source_) {
     store_->AddNodeBatch(node_source_());
   }

@@ -31,22 +31,6 @@ struct ResourceSample {
   double peak_memory_mb = 0.0;
 };
 
-// Per-deployment failure-taxonomy snapshot (cumulative counters), sampled on
-// the same tick as resource usage. Lets the metrics pipeline watch timeouts,
-// retries and breaker activity per function over time.
-struct FailureSample {
-  std::string handle;
-  SimTime timestamp = 0;
-  int64_t completed_cum = 0;
-  int64_t failed_cum = 0;
-  int64_t timeouts_cum = 0;
-  int64_t retries_cum = 0;
-  int64_t crashes_cum = 0;
-  int64_t oom_kills_cum = 0;
-  int64_t breaker_rejected_cum = 0;
-  SimDuration breaker_open_ns_cum = 0;
-};
-
 // Per-workflow latency decomposition summary (§2's invocation-overhead
 // motivation, measured): percentiles over the assembled traces of one
 // profile window, per segment. Produced by SummarizeWorkflowLatency in
@@ -97,14 +81,6 @@ class MetricsStore {
     FlushSamples();
     return samples_;
   }
-  void AddFailure(FailureSample sample) {
-    pending_failures_.push_back(std::move(sample));
-  }
-  void AddFailureBatch(std::vector<FailureSample> batch);
-  const std::vector<FailureSample>& failure_samples() const {
-    FlushFailures();
-    return failure_samples_;
-  }
   // Per-worker-node utilization/stranding snapshots (§4, live node model),
   // sampled on the same tick as resources.
   void AddNode(NodeSample sample) { pending_nodes_.push_back(std::move(sample)); }
@@ -138,8 +114,6 @@ class MetricsStore {
   void Clear() {
     samples_.clear();
     pending_samples_.clear();
-    failure_samples_.clear();
-    pending_failures_.clear();
     node_samples_.clear();
     pending_nodes_.clear();
     decisions_.clear();
@@ -152,18 +126,12 @@ class MetricsStore {
   // Aggregates the latest sample of each container, per function handle.
   std::map<std::string, FunctionUsage> Aggregate() const;
 
-  // Latest failure snapshot per function handle.
-  std::map<std::string, FailureSample> LatestFailures() const;
-
  private:
   void FlushSamples() const;
-  void FlushFailures() const;
   void FlushNodes() const;
 
   mutable std::vector<ResourceSample> samples_;
   mutable std::vector<ResourceSample> pending_samples_;
-  mutable std::vector<FailureSample> failure_samples_;
-  mutable std::vector<FailureSample> pending_failures_;
   mutable std::vector<NodeSample> node_samples_;
   mutable std::vector<NodeSample> pending_nodes_;
   std::vector<DecisionRecord> decisions_;
@@ -178,16 +146,12 @@ class MetricsStore {
 class ResourceMonitor {
  public:
   using SampleSource = std::function<std::vector<ResourceSample>()>;
-  using FailureSource = std::function<std::vector<FailureSample>()>;
   using NodeSource = std::function<std::vector<NodeSample>()>;
 
   ResourceMonitor(Simulation* sim, MetricsStore* store, SampleSource source,
                   SimDuration interval = Seconds(1));
 
-  // Optional second source: per-deployment failure-taxonomy snapshots,
-  // sampled on the same tick as resources (the platform provides it).
-  void set_failure_source(FailureSource source) { failure_source_ = std::move(source); }
-  // Optional third source: per-worker-node snapshots (empty while the
+  // Optional second source: per-worker-node snapshots (empty while the
   // platform runs the infinite pool, so enabling it costs nothing then).
   void set_node_source(NodeSource source) { node_source_ = std::move(source); }
 
@@ -201,7 +165,6 @@ class ResourceMonitor {
   Simulation* sim_;
   MetricsStore* store_;
   SampleSource source_;
-  FailureSource failure_source_;
   NodeSource node_source_;
   SimDuration interval_;
   bool running_ = false;

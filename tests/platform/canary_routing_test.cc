@@ -135,6 +135,66 @@ TEST(CanaryRoutingTest, UpdateFunctionSupersedesStagedCanary) {
   EXPECT_EQ(h.CountSlow("fn", 6), 0);
 }
 
+// Spawns and kills are charged to the arm of the replica's version. The two
+// scheduled crashes take the oldest live replica each time: the control's
+// warm one (created before staging, so on no arm), then the canary's warm
+// one. One request per arm then spawns a fresh replica on node 0, and the
+// node failure kills both.
+TEST(CanaryRoutingTest, KillsAndSpawnsChargeTheReplicasArm) {
+  PlatformConfig config;
+  config.max_nodes = 2;
+  config.fault_plan.crashes = {CrashEvent{"fn", Milliseconds(10)},
+                               CrashEvent{"fn", Milliseconds(20)}};
+  config.fault_plan.node_failures = {NodeFailureEvent{0, Seconds(1)}};
+  Simulation sim;
+  Platform platform(&sim, config);
+  DeploymentSpec control = FixedFunction("fn", 1.0);
+  control.warm_containers = 1;
+  ASSERT_TRUE(platform.Deploy(control).ok());
+  DeploymentSpec canary = FixedFunction("fn", 5.0);
+  canary.warm_containers = 1;
+  ASSERT_TRUE(platform.StageCanary(canary, 0.5).ok());
+
+  // At fraction 0.5 the round-robin sends the first request to the control
+  // and the second to the canary.
+  int64_t ok = 0;
+  sim.Schedule(Milliseconds(100), [&] {
+    for (int i = 0; i < 2; ++i) {
+      platform.Invoke({.caller = kClientCaller,
+                       .callee = "fn",
+                       .parent = {},
+                       .payload = Json::MakeObject(),
+                       .async = false,
+                       .done = [&ok](Result<Json> r) { ok += r.ok() ? 1 : 0; }});
+    }
+  });
+  sim.Run();
+  EXPECT_EQ(ok, 2);
+
+  const DeploymentStats* canary_arm = platform.CanaryStats("fn");
+  const DeploymentStats* control_arm = platform.CanaryControlStats("fn");
+  ASSERT_NE(canary_arm, nullptr);
+  ASSERT_NE(control_arm, nullptr);
+  EXPECT_EQ(canary_arm->containers_created, 2);
+  EXPECT_EQ(canary_arm->cold_starts, 2);
+  EXPECT_EQ(canary_arm->crashes, 1);
+  EXPECT_EQ(canary_arm->node_failure_kills, 1);
+  EXPECT_EQ(canary_arm->completed, 1);
+  EXPECT_EQ(control_arm->containers_created, 1);
+  EXPECT_EQ(control_arm->cold_starts, 1);
+  EXPECT_EQ(control_arm->crashes, 1);
+  EXPECT_EQ(control_arm->node_failure_kills, 1);
+  EXPECT_EQ(control_arm->completed, 1);
+
+  const DeploymentStats* total = platform.StatsFor("fn");
+  ASSERT_NE(total, nullptr);
+  EXPECT_EQ(total->containers_created, 4);
+  EXPECT_EQ(total->cold_starts, 4);
+  EXPECT_EQ(total->crashes, 2);
+  EXPECT_EQ(total->node_failure_kills, 2);
+  EXPECT_EQ(platform.TotalContainers(), 0);
+}
+
 TEST(CanaryRoutingTest, CanarySpansCarryTheCanaryFlag) {
   Harness h;
   h.platform.SetProfiling(true);
