@@ -20,7 +20,7 @@ struct Variant {
 // Measures the first (cold) invocation latency of the merged deployment.
 SimDuration MeasureColdStart(const QuiltcOptions& options) {
   ControllerOptions controller_options;
-  controller_options.quiltc = options;
+  controller_options.compile.quiltc = options;
   Env env(controller_options);
   const WorkflowApp app = ComposePost(false);
   if (!env.controller.RegisterWorkflow(app).ok()) {

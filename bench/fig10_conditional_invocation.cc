@@ -40,7 +40,7 @@ Point RunPoint(System system, int num, int requests = 60) {
   ControllerOptions options;
   options.container_memory_limit_mb = 256.0;  // Fits the profiled fan-out of 8.
   if (system == System::kQuiltUnconditional) {
-    options.quiltc.conditional_invocations = false;
+    options.compile.quiltc.conditional_invocations = false;
   }
   Env env(options);
   const WorkflowApp app = FanOutApp(/*profiled_alpha=*/8);

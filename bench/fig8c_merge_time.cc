@@ -17,7 +17,6 @@
 //
 // Flags:
 //   --smoke           small workflow + short loads (CI); same pipeline.
-//   --json <path>     write machine-readable results (name, config, rows).
 #include <cstring>
 
 #include "bench/bench_util.h"
@@ -36,8 +35,8 @@ struct CycleResult {
 CycleResult RunLifecycle(const WorkflowApp& app, bool caches, bool smoke) {
   CycleResult result;
   ControllerOptions options;
-  options.compile_ir_cache = caches;
-  options.compile_artifact_cache = caches;
+  options.compile.ir_cache = caches;
+  options.compile.artifact_cache = caches;
   Env env(options);
 
   const SimDuration load_time = smoke ? Seconds(12) : Seconds(30);
@@ -86,17 +85,11 @@ int main(int argc, char** argv) {
   using namespace quilt::bench;
 
   bool smoke = false;
-  std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
     }
   }
-
-  BenchJson json("fig8c_merge_time");
-  json.SetConfig("smoke", smoke);
 
   PrintHeader("Figure 8c/8d: compile, link, merge, and codegen time per workflow");
   std::printf("%-26s %4s | %10s %10s %10s %10s | %10s\n", "workflow", "fns", "compile",
@@ -126,15 +119,6 @@ int main(int argc, char** argv) {
                 FormatDuration(artifact->merge_time).c_str(),
                 FormatDuration(artifact->codegen_time).c_str(),
                 FormatDuration(artifact->TotalPipelineTime()).c_str());
-    Json row = Json::MakeObject();
-    row["workflow"] = app.name;
-    row["functions"] = static_cast<int64_t>(app.functions.size());
-    row["compile_s"] = ToSeconds(artifact->compile_time);
-    row["link_s"] = ToSeconds(artifact->link_time);
-    row["merge_s"] = ToSeconds(artifact->merge_time);
-    row["codegen_s"] = ToSeconds(artifact->codegen_time);
-    row["total_s"] = ToSeconds(artifact->TotalPipelineTime());
-    json.AddRow(std::move(row));
   }
   std::printf(
       "\nShape check: compile/link dominated by (shared) dependency builds; merge time\n"
@@ -169,25 +153,6 @@ int main(int argc, char** argv) {
   std::printf("%-28s %14s %14s\n", "charged (incremental) cost",
               FormatDuration(Seconds(uncached.stats.charged_cost_s)).c_str(),
               FormatDuration(Seconds(cached.stats.charged_cost_s)).c_str());
-
-  json.SetConfig("cycle_workflow", cycle_app.name);
-  Json cycle = Json::MakeObject();
-  cycle["series"] = std::string("lifecycle");
-  cycle["fresh_compiles_cache_off"] = uncached.stats.frontend_compiles;
-  cycle["fresh_compiles_cache_on"] = cached.stats.frontend_compiles;
-  cycle["ir_hit_rate"] = cached.stats.IrHitRate();
-  cycle["artifact_hit_rate"] = cached.stats.ArtifactHitRate();
-  cycle["modeled_cost_s_cache_off"] = uncached.stats.modeled_cost_s;
-  cycle["modeled_cost_s_cache_on"] = cached.stats.modeled_cost_s;
-  cycle["charged_cost_s_cache_off"] = uncached.stats.charged_cost_s;
-  cycle["charged_cost_s_cache_on"] = cached.stats.charged_cost_s;
-  json.AddRow(std::move(cycle));
-
-  Status written = json.WriteTo(json_path);
-  if (!written.ok()) {
-    std::printf("!! %s\n", written.ToString().c_str());
-    return 1;
-  }
 
   // Guard: the caches must cut fresh per-function IR compiles >= 2x across
   // the lifecycle (incremental compilation is the point of the service).

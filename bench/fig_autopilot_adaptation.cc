@@ -19,7 +19,6 @@
 //
 // Flags:
 //   --smoke           short runs (CI); same pipeline, fewer thread configs.
-//   --json <path>     write machine-readable results (name, config, rows).
 #include <cstring>
 #include <string>
 #include <vector>
@@ -60,7 +59,7 @@ int64_t CountAction(const ScenarioRun& run, const std::string& action) {
 ControllerOptions MakeControllerOptions(int threads) {
   ControllerOptions options;
   options.container_memory_limit_mb = 256.0;
-  options.decision_threads = threads;
+  options.decision.grasp_threads = threads;
   return options;
 }
 
@@ -184,12 +183,9 @@ int main(int argc, char** argv) {
   using namespace quilt::bench;
 
   bool smoke = false;
-  std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
     }
   }
 
@@ -199,9 +195,6 @@ int main(int argc, char** argv) {
 
   const std::vector<int> thread_configs = smoke ? std::vector<int>{1, 2}
                                                 : std::vector<int>{1, 2, 8};
-  BenchJson json("fig_autopilot_adaptation");
-  json.SetConfig("smoke", smoke);
-  json.SetConfig("thread_configs", static_cast<int64_t>(thread_configs.size()));
   bool ok = true;
 
   // --- Scenario A at every decision-thread width, plus a repeat at width 1.
@@ -246,14 +239,6 @@ int main(int argc, char** argv) {
       ok = false;
     }
   }
-
-  Json row_a = Json::MakeObject();
-  row_a["scenario"] = "workload-shift";
-  row_a["records"] = static_cast<int64_t>(reference.records.size());
-  row_a["promotes"] = promotes;
-  row_a["detector_driven_redecide"] = detector_driven;
-  row_a["final_state"] = reference.final_state;
-  json.AddRow(std::move(row_a));
 
   // --- Scenario B: OOM storm -> bounded-time automatic rollback.
   std::printf("\n[scenario B] injected OOM storm -> automatic rollback\n");
@@ -317,19 +302,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  Json row_b = Json::MakeObject();
-  row_b["scenario"] = "oom-storm";
-  row_b["records"] = static_cast<int64_t>(storm.records.size());
-  row_b["promoted_before_storm"] = promoted_before_storm;
-  row_b["rolled_back"] = rollback != nullptr;
-  row_b["final_state"] = storm.final_state;
-  json.AddRow(std::move(row_b));
-
-  const Status written = json.WriteTo(json_path);
-  if (!written.ok()) {
-    std::printf("!! --json: %s\n", written.ToString().c_str());
-    ok = false;
-  }
   std::printf("\n%s\n", ok ? "all autopilot adaptation checks passed"
                            : "AUTOPILOT ADAPTATION CHECKS FAILED");
   return ok ? 0 : 1;

@@ -20,7 +20,6 @@
 //
 // Flags:
 //   --smoke           shorter phases (CI); same checks.
-//   --json <path>     write machine-readable results (name, config, rows).
 #include <cstdlib>
 #include <cstring>
 
@@ -38,8 +37,11 @@ constexpr double kNodeCpu = 4.0;
 constexpr double kNodeMemoryMb = 1024.0;
 constexpr int kStaticNodes = 6;  // Peak-sized static fleet.
 
-// Two functions so the decision engine has a real (if small) problem when
-// the determinism check sweeps decision_threads.
+// Two functions, so OptimizeWorkflow makes a real (if small) decision. A
+// 2-node graph resolves to the single-threaded exact solver, so the
+// determinism sweep over decision_threads shows that the knob leaks into
+// nothing else, not that GRASP is deterministic on several threads (the
+// controller-level CostReportTest checks that).
 WorkflowApp ScaleApp() {
   WorkflowApp app;
   app.name = "autoscale";
@@ -82,7 +84,7 @@ ScenarioResult RunScenario(bool elastic, int decision_threads, bool smoke) {
   ScenarioResult result;
 
   ControllerOptions options;
-  options.decision_threads = decision_threads;
+  options.decision.grasp_threads = decision_threads;
   // Same container-scaling ceiling for both fleets: 6 replicas per function
   // is 12 containers at 2 vCPU each -- exactly the 6-node static fleet's
   // capacity, so "peak-sized" is literal and the fleets differ only in how
@@ -130,7 +132,7 @@ ScenarioResult RunScenario(bool elastic, int decision_threads, bool smoke) {
   const std::vector<PhaseResult> load = generator.RunPhased(&env.sim, &env.platform, kRoot, phased);
   env.controller.StopProfiling();
 
-  // Engage the decision engine so decision_threads exercises a real solve.
+  // Engage the decision engine: a real solve under each thread setting.
   const Result<MergeSolution> solution = env.controller.OptimizeWorkflow(kRoot);
   if (!solution.ok()) {
     std::printf("FAIL: optimize: %s\n", solution.status().ToString().c_str());
@@ -183,12 +185,9 @@ int main(int argc, char** argv) {
   using namespace quilt::bench;
 
   bool smoke = false;
-  std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
     }
   }
 
@@ -198,12 +197,6 @@ int main(int argc, char** argv) {
   PrintHeader(StrCat(
       "Elastic autoscaler vs a peak-sized static fleet (", kStaticNodes,
       " nodes) under phased\nload: paid-but-idle node dollars and per-phase p99"));
-
-  BenchJson json("fig_autoscale");
-  json.SetConfig("smoke", smoke);
-  json.SetConfig("static_nodes", static_cast<int64_t>(kStaticNodes));
-  json.SetConfig("idle_cut_floor", idle_cut_floor);
-  json.SetConfig("p99_tolerance", p99_tolerance);
 
   const ScenarioResult fixed = RunScenario(/*elastic=*/false, /*decision_threads=*/1, smoke);
   const ScenarioResult auto1 = RunScenario(/*elastic=*/true, /*decision_threads=*/1, smoke);
@@ -227,16 +220,6 @@ int main(int argc, char** argv) {
     const bool within =
         static_cast<double>(a.p99) <= static_cast<double>(s.p99) * (1.0 + p99_tolerance);
     p99_ok = p99_ok && within && a.failed == 0;
-
-    Json row = Json::MakeObject();
-    row["phase"] = s.name;
-    row["rps"] = s.rps;
-    row["static_completed"] = s.completed;
-    row["static_p99_ns"] = s.p99;
-    row["elastic_completed"] = a.completed;
-    row["elastic_p99_ns"] = a.p99;
-    row["p99_within_tolerance"] = within;
-    json.AddRow(std::move(row));
   }
 
   const double idle_cut =
@@ -266,12 +249,6 @@ int main(int argc, char** argv) {
   std::printf("idle-dollar cut: %s%% (floor %s%%)\n", FormatDouble(100.0 * idle_cut, 1).c_str(),
               FormatDouble(100.0 * idle_cut_floor, 0).c_str());
 
-  json.SetConfig("static_infra_nanos", fixed.infra_nanos);
-  json.SetConfig("static_idle_nanos", fixed.infra_idle_nanos);
-  json.SetConfig("elastic_infra_nanos", auto1.infra_nanos);
-  json.SetConfig("elastic_idle_nanos", auto1.infra_idle_nanos);
-  json.SetConfig("idle_cut", idle_cut);
-
   // Determinism: the elastic run's observable state must not depend on how
   // many threads the decision engine uses.
   if (std::getenv("FIG_AUTOSCALE_EVENTS") != nullptr) {
@@ -284,7 +261,6 @@ int main(int argc, char** argv) {
   }
   const bool deterministic =
       auto1.canonical == auto2.canonical && auto1.canonical == auto8.canonical;
-  json.SetConfig("deterministic_across_threads", deterministic);
   std::printf("determinism across decision_threads {1,2,8}: %s\n",
               deterministic ? "byte-identical" : "DIVERGED");
 
@@ -309,10 +285,5 @@ int main(int argc, char** argv) {
   }
   std::printf("OK: the autoscaler cuts idle node dollars at equal-or-better tail latency.\n");
 
-  const Status written = json.WriteTo(json_path);
-  if (!written.ok()) {
-    std::printf("json write failed: %s\n", written.ToString().c_str());
-    return 1;
-  }
   return 0;
 }

@@ -24,7 +24,6 @@
 //
 // Flags:
 //   --smoke           fewer λ points and shorter runs (CI); same checks.
-//   --json <path>     write machine-readable results (name, config, rows).
 #include <cstring>
 
 #include "bench/bench_util.h"
@@ -207,12 +206,9 @@ int main(int argc, char** argv) {
   using namespace quilt::bench;
 
   bool smoke = false;
-  std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
     }
   }
 
@@ -230,12 +226,6 @@ int main(int argc, char** argv) {
       "Billing λ sweep: $/1M requests vs p99 as the objective blends\n"
       "λ·latency + (1-λ)·$ (rate card '", card.name, "', ", FormatDouble(rps, 0),
       " rps open loop)"));
-
-  BenchJson json("fig_cost");
-  json.SetConfig("smoke", smoke);
-  json.SetConfig("pricing_profile", card.name);
-  json.SetConfig("rps", rps);
-  json.SetConfig("p99_tolerance", p99_tolerance);
 
   std::printf("%-6s | %-30s %3s | %9s %9s | %12s %10s | %s\n", "lambda", "cut edges", "grp",
               "requests", "attempts", "$/1M req", "p99", "exact-sum");
@@ -255,17 +245,6 @@ int main(int argc, char** argv) {
                 FormatDouble(row.dollars_per_million, 2).c_str(),
                 FormatDuration(row.p99).c_str(), row.exact ? "ok" : "VIOLATED");
 
-    Json json_row = Json::MakeObject();
-    json_row["lambda"] = row.lambda;
-    json_row["cut_edges"] = row.cuts;
-    json_row["groups"] = static_cast<int64_t>(row.groups);
-    json_row["requests"] = row.completed;
-    json_row["billed_attempts"] = row.attempts;
-    json_row["total_nanodollars"] = row.total_nanos;
-    json_row["dollars_per_million_requests"] = row.dollars_per_million;
-    json_row["p99_ns"] = row.p99;
-    json_row["exact_sum"] = row.exact;
-    json.AddRow(std::move(json_row));
     rows.push_back(row);
   }
 
@@ -296,10 +275,5 @@ int main(int argc, char** argv) {
   }
   std::printf("OK: cost-aware decisions trade within the stated p99 tolerance.\n");
 
-  const Status written = json.WriteTo(json_path);
-  if (!written.ok()) {
-    std::printf("json write failed: %s\n", written.ToString().c_str());
-    return 1;
-  }
   return 0;
 }

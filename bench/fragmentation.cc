@@ -15,7 +15,6 @@
 //
 // Flags:
 //   --smoke           fewer replicas (CI); same pipeline and checks.
-//   --json <path>     write machine-readable results (name, config, rows).
 #include <cstring>
 
 #include "bench/bench_util.h"
@@ -110,12 +109,9 @@ int main(int argc, char** argv) {
   using namespace quilt::bench;
 
   bool smoke = false;
-  std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
     }
   }
 
@@ -130,13 +126,6 @@ int main(int argc, char** argv) {
       "Resource fragmentation vs merge granularity (compose-post, 16-vCPU workers)\n"
       "offline first-fit-decreasing vs live node placement, ",
       replicas, " workflow replicas"));
-
-  BenchJson json("fragmentation");
-  json.SetConfig("smoke", smoke);
-  json.SetConfig("replicas", static_cast<int64_t>(replicas));
-  json.SetConfig("worker_cpu", worker.cpu);
-  json.SetConfig("worker_memory_mb", worker.memory_mb);
-  json.SetConfig("tolerance", tolerance);
 
   // Granularities: the same total demand (~11 x 0.8 vCPU per replica),
   // consolidated into ever-larger containers with raised limits.
@@ -166,19 +155,6 @@ int main(int argc, char** argv) {
                 100.0 * live.stranded_cpu_fraction, offline.containers_unplaced,
                 offline.containers_capacity_exhausted,
                 static_cast<long long>(live.deferrals));
-
-    Json row = Json::MakeObject();
-    row["scenario"] = scenario.name;
-    row["offline_workers"] = static_cast<int64_t>(offline.workers_used);
-    row["live_nodes"] = static_cast<int64_t>(live.nodes_used);
-    row["offline_stranded_cpu_fraction"] = offline_stranded;
-    row["live_stranded_cpu_fraction"] = live.stranded_cpu_fraction;
-    row["containers_unplaced"] = static_cast<int64_t>(offline.containers_unplaced);
-    row["containers_capacity_exhausted"] =
-        static_cast<int64_t>(offline.containers_capacity_exhausted);
-    row["live_placements"] = live.placements;
-    row["live_deferrals"] = live.deferrals;
-    json.AddRow(std::move(row));
   }
 
   std::printf(
@@ -194,10 +170,5 @@ int main(int argc, char** argv) {
   }
   std::printf("OK: live stranding matches the offline prediction on every scenario.\n");
 
-  const Status written = json.WriteTo(json_path);
-  if (!written.ok()) {
-    std::printf("json write failed: %s\n", written.ToString().c_str());
-    return 1;
-  }
   return 0;
 }

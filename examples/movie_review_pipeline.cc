@@ -65,7 +65,12 @@ int main() {
   std::printf("== merge decision (C=%.1f vCPU, M=%.0f MB per container) ==\n",
               controller.options().container_cpu_limit,
               controller.options().container_memory_limit_mb);
-  Result<MergeSolution> solution = controller.Decide(*graph);
+  // The controller's decision stage, run by hand to show its answer.
+  MergeProblem problem;
+  problem.graph = &*graph;
+  problem.cpu_limit = controller.options().container_cpu_limit;
+  problem.memory_limit = controller.options().container_memory_limit_mb;
+  Result<MergeSolution> solution = controller.decision_engine()->Decide(problem);
   if (!solution.ok()) {
     std::printf("decision failed: %s\n", solution.status().ToString().c_str());
     return 1;
@@ -74,7 +79,7 @@ int main() {
 
   std::printf("== merging (LLVM-style pipeline) ==\n");
   Result<std::vector<MergedArtifact>> artifacts =
-      controller.Merge(*graph, *solution, app.root_handle);
+      controller.compile_service()->MergeSolution(*graph, *solution, app.Sources());
   if (!artifacts.ok()) {
     std::printf("merge failed: %s\n", artifacts.status().ToString().c_str());
     return 1;
@@ -92,10 +97,12 @@ int main() {
     }
   }
 
+  // OptimizeWorkflow re-runs decide and merge on the same profile window --
+  // both engines are deterministic and answer from their caches -- and makes
+  // the plan live.
   std::printf("\n== deploying merged function (transparent update, §5.5) ==\n");
-  if (Status s = controller.DeployMerged(*graph, *solution, *artifacts, app.root_handle);
-      !s.ok()) {
-    std::printf("deploy failed: %s\n", s.ToString().c_str());
+  if (Result<MergeSolution> live = controller.OptimizeWorkflow(app.root_handle); !live.ok()) {
+    std::printf("deploy failed: %s\n", live.status().ToString().c_str());
     return 1;
   }
 

@@ -70,7 +70,6 @@ PlanCostModel BuildPlanCostModel(const CallGraph& graph, const PlanCostInputs& i
   const double total_weight = graph.TotalEdgeWeight();
   model.scale = all_cut > 0.0 ? total_weight / all_cut : 1.0;
   model.base = 0.0;
-  model.weight = 1.0;  // λ is supplied by SolverOptions.cost_weight.
   return model;
 }
 

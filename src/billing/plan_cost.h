@@ -35,8 +35,8 @@ std::map<std::string, double> MeanExecSecondsBySpan(const std::vector<Span>& spa
 // Builds the per-edge dollar model for `graph`. The scale is normalized so
 // the all-cut plan's dollars weigh like the all-cut plan's latency cost
 // (total edge weight), which keeps λ a meaningful dial between the two
-// objectives. The returned model's weight stays 1.0 -- the solver's
-// cost_weight knob supplies λ.
+// objectives. The returned model's weight stays 1.0 (latency-only); the
+// caller stamps its λ on it.
 PlanCostModel BuildPlanCostModel(const CallGraph& graph, const PlanCostInputs& inputs);
 
 }  // namespace quilt

@@ -75,9 +75,6 @@ inline Status AbortedError(std::string msg) { return Status(StatusCode::kAborted
 inline Status UnavailableError(std::string msg) {
   return Status(StatusCode::kUnavailable, std::move(msg));
 }
-inline Status UnimplementedError(std::string msg) {
-  return Status(StatusCode::kUnimplemented, std::move(msg));
-}
 inline Status InternalError(std::string msg) {
   return Status(StatusCode::kInternal, std::move(msg));
 }

@@ -6,40 +6,6 @@
 
 namespace quilt {
 
-namespace {
-
-DecisionEngineOptions EngineOptionsFrom(const ControllerOptions& options) {
-  DecisionEngineOptions engine;
-  engine.solver = options.decision_solver;
-  engine.optimal_max_nodes = options.optimal_solver_max_nodes;
-  engine.grasp_min_nodes = options.grasp_min_nodes;
-  engine.mip_gap = options.mip_gap;
-  engine.dih_pool_size = options.dih_pool_size;
-  engine.seed = options.decision_seed;
-  engine.deadline_ms = options.decision_deadline_ms;
-  engine.grasp_mip_gap = options.grasp_mip_gap;
-  engine.grasp_starts = options.grasp_starts;
-  engine.grasp_threads = options.decision_threads;
-  engine.enable_cache = options.decision_cache;
-  engine.cache_capacity = options.decision_cache_capacity;
-  engine.cost_weight = options.cost.cost_weight;
-  return engine;
-}
-
-CompileServiceOptions ServiceOptionsFrom(const ControllerOptions& options) {
-  CompileServiceOptions service;
-  service.quiltc = options.quiltc;
-  service.compile_threads = options.compile_threads;
-  service.ir_cache = options.compile_ir_cache;
-  service.ir_cache_capacity = options.compile_ir_cache_capacity;
-  service.artifact_cache = options.compile_artifact_cache;
-  service.artifact_cache_capacity = options.compile_artifact_cache_capacity;
-  service.verify_each_pass = options.compile_verify_each_pass;
-  return service;
-}
-
-}  // namespace
-
 Status ControllerOptions::Validate() const {
   if (container_cpu_limit <= 0.0) {
     return InvalidArgumentError("container_cpu_limit must be positive");
@@ -53,20 +19,14 @@ Status ControllerOptions::Validate() const {
   if (cost.cost_weight < 0.0 || cost.cost_weight > 1.0) {
     return InvalidArgumentError("cost.cost_weight (lambda) must be in [0, 1]");
   }
-  if (cost.default_exec_ms < 0.0) {
-    return InvalidArgumentError("cost.default_exec_ms must not be negative");
+  if (decision.grasp_threads < 1) {
+    return InvalidArgumentError("decision.grasp_threads must be >= 1");
   }
-  if (decision_threads < 1) {
-    return InvalidArgumentError("decision_threads must be >= 1");
+  if (decision.grasp_starts < 1) {
+    return InvalidArgumentError("decision.grasp_starts must be >= 1");
   }
-  if (grasp_starts < 1) {
-    return InvalidArgumentError("grasp_starts must be >= 1");
-  }
-  if (compile_threads < 1) {
-    return InvalidArgumentError("compile_threads must be >= 1");
-  }
-  if (monitor_interval <= 0) {
-    return InvalidArgumentError("monitor_interval must be positive");
+  if (compile.compile_threads < 1) {
+    return InvalidArgumentError("compile.compile_threads must be >= 1");
   }
   return Status::Ok();
 }
@@ -76,12 +36,11 @@ QuiltController::QuiltController(Simulation* sim, Platform* platform, Controller
       platform_(platform),
       options_(options),
       options_status_(options.Validate()),
-      compile_service_(ServiceOptionsFrom(options)),
-      decision_engine_(EngineOptionsFrom(options)),
+      compile_service_(options.compile),
+      decision_engine_(options.decision),
       tracer_(sim, &span_store_),
       metrics_store_(),
-      monitor_(sim, &metrics_store_, [platform] { return platform->SampleResources(); },
-               options.monitor_interval) {
+      monitor_(sim, &metrics_store_, [platform] { return platform->SampleResources(); }) {
   platform_->ConnectTracer(&tracer_);
   // The same sampling tick also snapshots per-node utilization/stranding
   // (empty while the platform runs the infinite pool).
@@ -197,9 +156,7 @@ Result<DeploymentSpec> QuiltController::MergedSpec(const WorkflowApp& app,
 
   DeploymentSpec spec;
   spec.handle = artifact.handle;
-  spec.max_scale = options_.merged_scale_is_member_sum
-                       ? options_.max_scale * static_cast<int>(artifact.member_handles.size())
-                       : options_.max_scale;
+  spec.max_scale = options_.max_scale * static_cast<int>(artifact.member_handles.size());
   spec.container.cpu_limit = options_.container_cpu_limit;
   spec.container.memory_limit_mb = options_.container_memory_limit_mb;
   spec.container.image_size_bytes = artifact.image.size_bytes;
@@ -249,10 +206,6 @@ Result<CallGraph> QuiltController::BuildCallGraph(const std::string& root_handle
   return BuildCallGraphFromTraces(spans, metrics_store_.Aggregate(), root_handle);
 }
 
-Result<MergeSolution> QuiltController::Decide(const CallGraph& graph) {
-  return DecideWithTrigger(graph, "decide");
-}
-
 Result<MergeSolution> QuiltController::DecideWithTrigger(const CallGraph& graph,
                                                          const std::string& trigger) {
   MergeProblem problem;
@@ -260,17 +213,18 @@ Result<MergeSolution> QuiltController::DecideWithTrigger(const CallGraph& graph,
   problem.cpu_limit = options_.container_cpu_limit;
   problem.memory_limit = options_.container_memory_limit_mb;
   // Cost-aware decisions (λ < 1): price every edge from the window's
-  // measured exec durations under the configured rate card. With λ = 1 the
-  // problem carries no cost terms and the decision is byte-identical to the
+  // measured exec durations under the configured rate card, and stamp λ on
+  // the model -- the one place the solvers read it. With λ = 1 the problem
+  // carries no cost terms and the decision is byte-identical to the
   // latency-only path.
   if (options_.cost.cost_weight < 1.0) {
     PlanCostInputs inputs;
     inputs.profile = options_.cost.profile;
-    inputs.default_exec_seconds = options_.cost.default_exec_ms / 1000.0;
     tracer_.Flush();
     inputs.exec_seconds = MeanExecSecondsBySpan(
         span_store_.Query(profile_window_start_, sim_->now() + 1));
     problem.cost = BuildPlanCostModel(graph, inputs);
+    problem.cost.weight = options_.cost.cost_weight;
   }
 
   DecisionRecord record;
@@ -299,16 +253,6 @@ Result<std::vector<MergedArtifact>> QuiltController::CompileSolution(
     metrics_store_.AddCompile(std::move(record));
   }
   return artifacts;
-}
-
-Result<std::vector<MergedArtifact>> QuiltController::Merge(const CallGraph& graph,
-                                                           const MergeSolution& solution,
-                                                           const std::string& workflow_root) {
-  const WorkflowApp* app = AppForHandle(workflow_root);
-  if (app == nullptr) {
-    return NotFoundError(StrCat("workflow root '", workflow_root, "' not registered"));
-  }
-  return CompileSolution(graph, solution, app->Sources(), workflow_root, "deploy");
 }
 
 Status QuiltController::DeployMerged(const CallGraph& graph, const MergeSolution& solution,
@@ -379,11 +323,16 @@ Result<MergeSolution> QuiltController::OptimizeWorkflow(const std::string& root_
   if (!graph.ok()) {
     return graph.status();
   }
-  Result<MergeSolution> solution = Decide(*graph);
+  Result<MergeSolution> solution = DecideWithTrigger(*graph, "decide");
   if (!solution.ok()) {
     return solution.status();
   }
-  Result<std::vector<MergedArtifact>> artifacts = Merge(*graph, *solution, root_handle);
+  const WorkflowApp* app = AppForHandle(root_handle);
+  if (app == nullptr) {
+    return NotFoundError(StrCat("workflow root '", root_handle, "' not registered"));
+  }
+  Result<std::vector<MergedArtifact>> artifacts =
+      CompileSolution(*graph, *solution, app->Sources(), root_handle, "deploy");
   if (!artifacts.ok()) {
     return artifacts.status();
   }
@@ -514,7 +463,7 @@ Result<CallGraph> QuiltController::UpdatedGraphFromObservations(
       }
     }
   }
-  const bool conditional = options_.quiltc.conditional_invocations;
+  const bool conditional = options_.compile.quiltc.conditional_invocations;
 
   CallGraph updated;
   for (NodeId id = 0; id < base.num_nodes(); ++id) {

@@ -6,16 +6,21 @@
 //   2. the provider flips the profiler-enabled token (StartProfiling):
 //      invocations take the ingress path, spans and resource samples flow
 //      into the stores;
-//   3. BuildCallGraph + Decide run the constraint-aware merge decision (§4);
-//   4. Merge runs the LLVM pipeline (§5) and DeployMerged replaces each
+//   3. OptimizeWorkflow builds the call graph, hands it to the
+//      DecisionEngine for the constraint-aware merge decision (§4), compiles
+//      the chosen groups through the CompileService (§5), and replaces each
 //      group root's function through the platform's normal update mechanism
 //      (§5.5) -- the scheduler never learns a merge happened;
+//   4. ReconsiderWorkflow, or the autopilot's propose/canary/promote cycle,
+//      re-decides as the workload drifts;
 //   5. RollbackDeployment restores the original functions if the workload
 //      shifts (§8).
 //
-// The fleet the functions run on (node geometry, static or elastic) is the
-// platform's business: it is configured once, on PlatformConfig, and the
-// controller accepts the platform as configured.
+// The controller only orchestrates: the decision and compile knobs are the
+// engines' own option structs, embedded in ControllerOptions. The fleet the
+// functions run on (node geometry, static or elastic) is the platform's
+// business: it is configured once, on PlatformConfig, and the controller
+// accepts the platform as configured.
 #ifndef SRC_CORE_QUILT_CONTROLLER_H_
 #define SRC_CORE_QUILT_CONTROLLER_H_
 
@@ -40,73 +45,32 @@
 namespace quilt {
 
 struct ControllerOptions {
-  // Per-container limits the provider grants each function (§7.3.1).
+  // Per-container limits the provider grants each function (§7.3.1). A
+  // merged function gets the containers of all its members (resource parity
+  // with the baseline): max_scale times its member count.
   double container_cpu_limit = 2.0;
   double container_memory_limit_mb = 128.0;
   int max_scale = 10;
 
-  // Merge decision (§4), delegated to the DecisionEngine. kAuto picks by
-  // graph size: exact solver up to optimal_solver_max_nodes, the DIH k-sweep
-  // below grasp_min_nodes, multi-start GRASP at or beyond it; the explicit
-  // choices force one solver regardless of size.
-  SolverChoice decision_solver = SolverChoice::kAuto;
-  int optimal_solver_max_nodes = 11;
-  int grasp_min_nodes = 26;
-  int dih_pool_size = 6;
-  double mip_gap = 0.0;
-  // GRASP decisions: paper defaults (5% stage gap, bounded stage ILPs),
-  // best-of-N multi-start, optionally threaded. Controller-driven GRASP runs
-  // are reproducible: draws derive from decision_seed, which every
-  // DecisionRecord carries.
-  double grasp_mip_gap = 0.05;
-  int grasp_starts = 4;
-  int decision_threads = 1;
-  uint64_t decision_seed = 0x9e3779b97f4a7c15ull;
-  // Wall-clock budget per decision in ms (0 = none). On expiry the solvers
-  // stop sweeping and return the best incumbent (trades determinism for
-  // bounded decision latency).
-  double decision_deadline_ms = 0.0;
-  // Phase-2 ILP memoization shared across solvers and successive decisions
-  // (ReconsiderWorkflow re-decides continuously; a stable profile hits).
-  bool decision_cache = true;
-  size_t decision_cache_capacity = 4096;
-
-  // When a merged function replaces a group, it receives the containers of
-  // all its members (resource parity with the baseline, §7.3.1).
-  bool merged_scale_is_member_sum = true;
+  // Merge decision (§4): the DecisionEngine's options.
+  DecisionEngineOptions decision;
+  // Merge compilation (§5): the CompileService's options, QuiltcOptions
+  // included.
+  CompileServiceOptions compile;
 
   // --- Billing / cost-aware decisions (billing engine). cost_weight is the
   // λ of the blended objective λ·latency + (1−λ)·$: 1.0 (default) keeps the
   // seed latency-only decisions byte-identical; below 1.0 every decision
   // builds a PlanCostModel from `profile` and the window's measured exec
-  // durations, and all three solvers optimize the blend.
+  // durations, stamped with this λ, and all three solvers optimize the blend.
   struct CostOptions {
     double cost_weight = 1.0;   // λ; 1.0 = latency-only.
     PricingProfile profile;     // Rate card the plan-cost model prices under.
-    // Fallback mean exec duration for functions with no measured spans.
-    double default_exec_ms = 1.0;
   };
   CostOptions cost;
 
-  QuiltcOptions quiltc;
-
-  // Merge compilation (§5), delegated to the CompileService: fan-out
-  // threads for independent group merges, plus the content-addressed IR and
-  // artifact caches that make redeploy/reconsider cycles incremental. The
-  // parallelism and the caches never change what gets built — artifacts and
-  // compile records are byte-identical for any setting.
-  int compile_threads = 1;
-  bool compile_ir_cache = true;
-  size_t compile_ir_cache_capacity = 512;
-  bool compile_artifact_cache = true;
-  size_t compile_artifact_cache_capacity = 128;
-  // Debug aid: run IrModule::Verify() after every pass of every pipeline.
-  bool compile_verify_each_pass = false;
-
-  SimDuration monitor_interval = Seconds(1);
-
   // Typed validation of the knob surface: rejects λ outside [0, 1] and
-  // non-positive limits/thread counts/intervals. The controller constructor
+  // non-positive limits/thread/start counts. The controller constructor
   // calls this and surfaces the error from RegisterWorkflow instead of
   // silently misbehaving.
   Status Validate() const;
@@ -131,18 +95,9 @@ class QuiltController {
   bool profiling() const { return platform_->profiling(); }
   Result<CallGraph> BuildCallGraph(const std::string& root_handle);
 
-  // --- Decision (§4).
-  Result<MergeSolution> Decide(const CallGraph& graph);
-
-  // --- Merging (§5) and deployment (§5.5).
-  Result<std::vector<MergedArtifact>> Merge(const CallGraph& graph,
-                                            const MergeSolution& solution,
-                                            const std::string& workflow_root);
-  Status DeployMerged(const CallGraph& graph, const MergeSolution& solution,
-                      const std::vector<MergedArtifact>& artifacts,
-                      const std::string& workflow_root);
-
-  // End-to-end: profile data must already be in the stores.
+  // --- Decision (§4), merging (§5) and deployment (§5.5), end to end:
+  // profile data must already be in the stores. The decision and compile
+  // records are tagged trigger="decide" and "deploy".
   Result<MergeSolution> OptimizeWorkflow(const std::string& root_handle);
 
   // Deploys a chosen solution using the app's reference graph (bypasses
@@ -164,7 +119,7 @@ class QuiltController {
   // OOM-killed merge rolls back; otherwise the ProposePlan path re-decides
   // (telemetry tagged trigger="reconsider"), a quiet window or an unchanged
   // plan keeps the live merge, a plan that merges nothing rolls back, and any
-  // other plan goes live through DeployMerged.
+  // other plan goes live.
   Result<ReconsiderReport> ReconsiderWorkflow(const std::string& root_handle);
 
   // --- Canary-guarded adaptation mechanisms (§4.9). The autopilot owns the
@@ -217,7 +172,7 @@ class QuiltController {
   bool HasMergedDeployment(const std::string& root_handle) const {
     return deployed_.count(root_handle) > 0;
   }
-  // OOM kills across the workflow's merged group roots since DeployMerged
+  // OOM kills across the workflow's merged group roots since the live plan
   // recorded their baselines (0 when no merge is live).
   int64_t OomKillsSinceDeploy(const std::string& root_handle) const;
   // Function handles of the workflow that contains `root_handle` (empty if
@@ -261,7 +216,6 @@ class QuiltController {
   const Status& options_status() const { return options_status_; }
 
   Platform* platform() { return platform_; }
-  Tracer* tracer() { return &tracer_; }
   // Store queries go through the exporter flush first: a span recorded
   // within one batch interval of the query must not be invisible.
   SpanStore* span_store() {
@@ -270,15 +224,15 @@ class QuiltController {
   }
   MetricsStore* metrics_store() { return &metrics_store_; }
   const MetricsStore* metrics_store() const { return &metrics_store_; }
+  // The decision stage behind every plan; configured by options().decision.
   DecisionEngine* decision_engine() { return &decision_engine_; }
-  // The compile stack behind Merge/DeploySolutionDirect and the baseline
-  // builders; exposes cache/parallelism statistics.
+  // The compile stack behind every plan and the baseline builders;
+  // configured by options().compile, exposes cache/parallelism statistics.
   CompileService* compile_service() { return &compile_service_; }
   const CompileService* compile_service() const { return &compile_service_; }
   const ControllerOptions& options() const { return options_; }
 
-  // Deployment-spec builders (exposed for benchmarks/tests).
-  Result<DeploymentSpec> BaselineSpec(const WorkflowApp& app, const std::string& handle) const;
+  // Deployment-spec builder for one merged group (exposed for tests).
   Result<DeploymentSpec> MergedSpec(const WorkflowApp& app, const CallGraph& graph,
                                     const MergeGroup& group,
                                     const MergedArtifact& artifact) const;
@@ -289,6 +243,12 @@ class QuiltController {
 
   const WorkflowApp* AppForHandle(const std::string& handle) const;
   double BaseMemoryMb(const BinaryImage& image) const;
+  Result<DeploymentSpec> BaselineSpec(const WorkflowApp& app, const std::string& handle) const;
+  // Replaces each merged group root's function with its artifact through
+  // the platform's normal update, then records what is live.
+  Status DeployMerged(const CallGraph& graph, const MergeSolution& solution,
+                      const std::vector<MergedArtifact>& artifacts,
+                      const std::string& workflow_root);
   // Decide + decision telemetry: emits a DecisionRecord (tagged with the
   // trigger) into the MetricsStore, success or failure.
   Result<MergeSolution> DecideWithTrigger(const CallGraph& graph, const std::string& trigger);
@@ -344,7 +304,7 @@ class QuiltController {
   // Writes the deployment ledger entry for a (graph, solution) whose merged
   // group roots already serve their new images, reverting formerly merged
   // roots the solution no longer merges. Every path that makes a merge live
-  // (DeployMerged, PromoteCanaryPlan, ReconsiderWorkflow) ends here.
+  // (DeployMerged, PromoteCanaryPlan) ends here.
   Status RecordDeployed(const WorkflowApp& app, const CallGraph& graph,
                         const MergeSolution& solution, const std::string& workflow_root);
 

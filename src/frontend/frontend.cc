@@ -64,8 +64,7 @@ int64_t SerdeCodeSize(Lang lang) {
 
 int64_t InvokeGlueCodeSize(Lang lang) { return 120 * 1024; }
 
-}  // namespace
-
+// Static sizes of the runtime/library code a module of this language links.
 int64_t RuntimeCodeSize(Lang lang) {
   switch (lang) {
     case Lang::kC:
@@ -81,6 +80,8 @@ int64_t RuntimeCodeSize(Lang lang) {
   }
   return 0;
 }
+
+}  // namespace
 
 std::string MangleSymbol(Lang lang, const std::string& handle, const std::string& item) {
   // Handles contain '-', which no mangling scheme passes through.

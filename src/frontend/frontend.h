@@ -33,9 +33,6 @@ Result<IrModule> CompileToIr(const SourceFunction& fn);
 SimDuration EstimateDependencyCompileTime(Lang lang, int num_dependencies);
 SimDuration EstimateCodegenTime(const SourceFunction& fn);
 
-// Static sizes of the runtime/library code a module of this language links.
-int64_t RuntimeCodeSize(Lang lang);
-
 }  // namespace quilt
 
 #endif  // SRC_FRONTEND_FRONTEND_H_

@@ -9,7 +9,7 @@ DecisionEngine::DecisionEngine(DecisionEngineOptions options)
       heuristic_(scorer_),
       grasp_(scorer_) {
   if (options_.enable_cache) {
-    cache_ = std::make_unique<IlpSolveCache>(options_.cache_capacity);
+    cache_ = std::make_unique<IlpSolveCache>();
   }
 }
 
@@ -17,10 +17,10 @@ SolverChoice DecisionEngine::Resolve(int num_nodes) const {
   if (options_.solver != SolverChoice::kAuto) {
     return options_.solver;
   }
-  if (num_nodes <= options_.optimal_max_nodes) {
+  if (num_nodes <= kOptimalMaxNodes) {
     return SolverChoice::kOptimal;
   }
-  if (num_nodes < options_.grasp_min_nodes) {
+  if (num_nodes < kGraspMinNodes) {
     return SolverChoice::kHeuristic;
   }
   return SolverChoice::kGrasp;
@@ -30,17 +30,11 @@ SolverOptions DecisionEngine::OptionsFor(SolverChoice choice) const {
   SolverOptions solver_options;
   if (choice == SolverChoice::kGrasp) {
     solver_options = SolverOptions::GraspDefaults();
-    solver_options.mip_gap = options_.grasp_mip_gap;
-    solver_options.max_nodes_per_ilp = options_.grasp_max_nodes_per_ilp;
     solver_options.num_starts = options_.grasp_starts;
     solver_options.num_threads = options_.grasp_threads;
-  } else {
-    solver_options.mip_gap = options_.mip_gap;
-    solver_options.pool_size = options_.dih_pool_size;
   }
   solver_options.seed = options_.seed;
   solver_options.cache = cache_.get();
-  solver_options.cost_weight = options_.cost_weight;
   if (options_.deadline_ms > 0.0) {
     solver_options.deadline =
         std::chrono::steady_clock::now() +
@@ -85,7 +79,7 @@ Result<MergeSolution> DecisionEngine::Decide(const MergeProblem& problem,
     record->feasible = solution.ok();
     record->final_cost = solution.ok() ? solution->cross_cost : 0.0;
     record->num_groups = solution.ok() ? solution->num_groups() : 0;
-    record->cost_weight = solver_options.cost_weight;
+    record->cost_weight = problem.cost.weight;
     if (solution.ok()) {
       // 0.0 unless the problem carried per-edge dollar terms.
       record->plan_dollars = PlanDollarCost(*problem.graph, *solution, problem.cost);

@@ -6,9 +6,13 @@
 // as workloads drift — recurring decisions on a stable profile are near-free
 // cache hits), and the policy that picks a solver per graph size:
 //
-//   kAuto:  |V| <= optimal_max_nodes   -> exact sweep (§4.2)
-//           |V| <  grasp_min_nodes     -> DIH k-sweep (§4.3)
+//   kAuto:  |V| <= kOptimalMaxNodes    -> exact sweep (§4.2)
+//           |V| <  kGraspMinNodes      -> DIH k-sweep (§4.3)
 //           otherwise                  -> multi-start GRASP (App C.4)
+//
+// The exact and DIH sweeps run SolverOptions{} (exact Phase-2 ILPs, ℓ = 6);
+// GRASP runs SolverOptions::GraspDefaults() (5% stage gap, bounded stage
+// ILPs). λ of the blended objective is the problem's (PlanCostModel::weight).
 //
 // Every decision emits a DecisionRecord describing what ran and what it cost.
 #ifndef SRC_PARTITION_DECISION_ENGINE_H_
@@ -26,34 +30,27 @@
 
 namespace quilt {
 
+// kAuto policy thresholds.
+inline constexpr int kOptimalMaxNodes = 11;  // Exact sweep up to here (2^(|V|-1) sets).
+inline constexpr int kGraspMinNodes = 26;    // GRASP at or beyond; DIH sweep in between.
+
 struct DecisionEngineOptions {
+  // kAuto picks by graph size; the explicit choices force one solver.
   SolverChoice solver = SolverChoice::kAuto;
-
-  // kAuto policy thresholds.
-  int optimal_max_nodes = 11;  // Exact sweep up to here (2^(|V|-1) sets).
-  int grasp_min_nodes = 26;    // GRASP at or beyond; DIH sweep in between.
-
-  // Shared solver knobs (see SolverOptions).
-  double mip_gap = 0.0;   // Exact sweep + DIH sweep.
-  int dih_pool_size = 6;  // ℓ for the DIH sweep.
-  uint64_t seed = 0x9e3779b97f4a7c15ull;  // GRASP draws; recorded per decision.
-  double deadline_ms = 0.0;  // Wall-clock budget per decision (0 = none).
-
-  // GRASP knobs (paper defaults: 5% gap, bounded stage ILPs).
-  double grasp_mip_gap = 0.05;
-  int64_t grasp_max_nodes_per_ilp = 500000;
+  // Base seed of the GRASP draws; every DecisionRecord carries it, so
+  // decisions are reproducible.
+  uint64_t seed = 0x9e3779b97f4a7c15ull;
+  // Wall-clock budget per decision in ms (0 = none). On expiry the solvers
+  // stop sweeping and return the best incumbent (trades determinism for
+  // bounded decision latency).
+  double deadline_ms = 0.0;
+  // Best-of-N GRASP starts, run on up to grasp_threads threads; any thread
+  // count yields a bit-identical answer.
   int grasp_starts = 4;
   int grasp_threads = 1;
-
-  // Phase-2 memoization.
+  // Phase-2 ILP memoization (LRU, 4096 entries) shared across solvers and
+  // successive decisions: re-decisions on a stable profile hit.
   bool enable_cache = true;
-  size_t cache_capacity = 4096;
-
-  // λ of the blended objective λ·latency + (1−λ)·$ (see
-  // SolverOptions.cost_weight). Only matters when the MergeProblem carries a
-  // populated PlanCostModel; 1.0 keeps every decision byte-identical to the
-  // latency-only objective.
-  double cost_weight = 1.0;
 };
 
 class DecisionEngine {
@@ -68,7 +65,6 @@ class DecisionEngine {
   // Which portfolio member kAuto resolves to for a graph of `num_nodes`.
   SolverChoice Resolve(int num_nodes) const;
 
-  IlpSolveCache* cache() { return cache_.get(); }  // Null when disabled.
   const DecisionEngineOptions& options() const { return options_; }
 
  private:

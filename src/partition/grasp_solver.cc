@@ -30,6 +30,10 @@ std::string CanonicalSolutionSignature(const MergeSolution& solution) {
 
 namespace {
 
+// Restricted Candidate List size: stage 1 draws from this many top-score
+// candidates (or from the whole pool once ℓ exceeds it).
+constexpr int kRclSize = 16;
+
 struct StartOutcome {
   Result<MergeSolution> solution = InternalError("start never ran");
   SolverStats stats;
@@ -72,7 +76,7 @@ StartOutcome RunStart(const MergeProblem& problem, uint64_t fingerprint,
       out.solution = DeadlineExceededError("GRASP deadline expired before stage 1 feasibility");
       return out;
     }
-    const int rcl = std::min<int>(std::max(options.rcl_size, pool_size),
+    const int rcl = std::min<int>(std::max(kRclSize, pool_size),
                                   static_cast<int>(ranked.size()));
     for (int draw = 0; draw < options.draws_per_size && !best.has_value(); ++draw) {
       ++st.stage1_attempts;
@@ -153,12 +157,9 @@ StartOutcome RunStart(const MergeProblem& problem, uint64_t fingerprint,
 
 }  // namespace
 
-Result<MergeSolution> GraspSolver::Solve(const MergeProblem& original,
+Result<MergeSolution> GraspSolver::Solve(const MergeProblem& problem,
                                          const SolverOptions& options,
                                          SolverStats* stats) {
-  // λ = 1 (default) keeps the cost model inert and every start
-  // byte-identical to the latency-only path.
-  const MergeProblem problem = WithCostWeight(original, options.cost_weight);
   QUILT_RETURN_IF_ERROR(problem.Validate());
   const CallGraph& graph = *problem.graph;
   const NodeId workflow_root = graph.root();

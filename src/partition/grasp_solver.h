@@ -29,9 +29,10 @@
 namespace quilt {
 
 // SolverOptions fields honored: mip_gap, max_nodes_per_ilp, deadline, cache,
-// seed, initial_pool_size, rcl_size, draws_per_size, max_refinement_rounds,
-// num_starts, num_threads. Callers wanting the paper's large-graph defaults
-// (5% gap, bounded ILPs) should start from SolverOptions::GraspDefaults().
+// seed, initial_pool_size, draws_per_size, max_refinement_rounds,
+// num_starts, num_threads (the Restricted Candidate List size is fixed).
+// Callers wanting the paper's large-graph defaults (5% gap, bounded ILPs)
+// should start from SolverOptions::GraspDefaults().
 class GraspSolver : public MergeSolver {
  public:
   explicit GraspSolver(const RootScorer& scorer) : scorer_(scorer) {}

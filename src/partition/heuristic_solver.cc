@@ -9,12 +9,16 @@
 
 namespace quilt {
 
-Result<MergeSolution> HeuristicSolver::Solve(const MergeProblem& original,
+namespace {
+
+// Consecutive non-improving k values before the sweep stops.
+constexpr int kStallLimit = 2;
+
+}  // namespace
+
+Result<MergeSolution> HeuristicSolver::Solve(const MergeProblem& problem,
                                              const SolverOptions& options,
                                              SolverStats* stats) {
-  // λ = 1 (default) keeps the cost model inert and this solve byte-identical
-  // to the latency-only path.
-  const MergeProblem problem = WithCostWeight(original, options.cost_weight);
   QUILT_RETURN_IF_ERROR(problem.Validate());
   const CallGraph& graph = *problem.graph;
   const NodeId workflow_root = graph.root();
@@ -43,8 +47,7 @@ Result<MergeSolution> HeuristicSolver::Solve(const MergeProblem& original,
     pool.resize(options.pool_size);
   }
 
-  const int max_k =
-      options.max_k > 0 ? options.max_k : static_cast<int>(pool.size()) + 1;
+  const int max_k = static_cast<int>(pool.size()) + 1;
 
   std::optional<MergeSolution> best;
   int stalled = 0;
@@ -87,7 +90,7 @@ Result<MergeSolution> HeuristicSolver::Solve(const MergeProblem& original,
     }
     if (best.has_value()) {
       stalled = improved_at_k ? 0 : stalled + 1;
-      if (options.stall_limit > 0 && stalled >= options.stall_limit) {
+      if (stalled >= kStallLimit) {
         break;
       }
     }

@@ -16,8 +16,8 @@
 namespace quilt {
 
 // SolverOptions fields honored: mip_gap, max_nodes_per_ilp, deadline, cache,
-// pool_size (ℓ), max_k (0 = up to ℓ+1 subgraphs), stall_limit (consecutive
-// non-improving k values before stopping; 0 = sweep all k).
+// pool_size (ℓ). The sweep runs k up to ℓ+1 subgraphs and stops after two
+// consecutive non-improving k values.
 class HeuristicSolver : public MergeSolver {
  public:
   explicit HeuristicSolver(const RootScorer& scorer) : scorer_(scorer) {}

@@ -64,12 +64,6 @@ uint64_t FingerprintProblem(const MergeProblem& problem) {
   return hash;
 }
 
-MergeProblem WithCostWeight(const MergeProblem& problem, double cost_weight) {
-  MergeProblem out = problem;
-  out.cost.weight = cost_weight;
-  return out;
-}
-
 Result<MergeSolution> SolveForRootsCached(const MergeProblem& problem,
                                           uint64_t fingerprint,
                                           const std::vector<NodeId>& roots,

@@ -39,24 +39,16 @@ struct SolverOptions {
   // functions of the cache key) and the cutoff is applied to the memoized
   // result instead — see SolveForRootsCached.
   IlpSolveCache* cache = nullptr;
-  // λ of the blended objective λ·latency + (1−λ)·$ (billing PR). Takes
-  // effect only when the problem carries a populated PlanCostModel; 1.0
-  // (the default) leaves every solver path byte-identical to the
-  // latency-only objective regardless of the problem's cost vectors.
-  double cost_weight = 1.0;
 
-  // --- Exact sweep (OptimalSolver). max_k also bounds the heuristic sweep.
-  int max_k = 0;                 // 0 = all k (optimal: |V|; heuristic: ℓ+1).
+  // --- Exact sweep (OptimalSolver).
   int64_t max_candidate_sets = 0;  // Abort enumeration after this many (0 = ∞).
 
   // --- DIH k-sweep (HeuristicSolver).
   int pool_size = 6;   // ℓ: top-scoring candidates kept in the Phase-1 pool.
-  int stall_limit = 2;  // Consecutive non-improving k values before stopping.
 
   // --- GRASP (App C.4), now multi-start.
   uint64_t seed = 0x9e3779b97f4a7c15ull;  // Base seed; start s derives its own.
   int initial_pool_size = 2;  // Initial ℓ.
-  int rcl_size = 16;          // Restricted Candidate List size.
   int draws_per_size = 3;     // Random pool draws before growing ℓ.
   int max_refinement_rounds = 0;  // 0 = until local optimum.
   int num_starts = 1;   // Independent GRASP starts; best-of by (cost, signature).
@@ -112,12 +104,6 @@ class MergeSolver {
 // limits, and — when active — the cost model (λ, scale, per-edge dollar
 // terms). Two problems with equal fingerprints pose the same Phase-2 ILPs.
 uint64_t FingerprintProblem(const MergeProblem& problem);
-
-// `problem` with its cost model's λ replaced by `cost_weight` (the
-// SolverOptions knob wins over whatever λ the problem carried). Shares the
-// graph pointer. With cost_weight = 1 and an unpopulated cost model this is
-// a plain copy — the cost term stays inert.
-MergeProblem WithCostWeight(const MergeProblem& problem, double cost_weight);
 
 // Phase-2 solve with optional memoization, the single inner step every
 // solver uses. Without a cache this is exactly SolveForRoots (the cutoff

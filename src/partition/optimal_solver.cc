@@ -9,13 +9,9 @@
 
 namespace quilt {
 
-Result<MergeSolution> OptimalSolver::Solve(const MergeProblem& original,
+Result<MergeSolution> OptimalSolver::Solve(const MergeProblem& problem,
                                            const SolverOptions& options,
                                            SolverStats* stats) {
-  // The SolverOptions λ overrides the problem's; with λ = 1 the cost model
-  // goes inert and every path below is byte-identical to the latency-only
-  // solve.
-  const MergeProblem problem = WithCostWeight(original, options.cost_weight);
   QUILT_RETURN_IF_ERROR(problem.Validate());
   const CallGraph& graph = *problem.graph;
   const int n = graph.num_nodes();
@@ -37,9 +33,7 @@ Result<MergeSolution> OptimalSolver::Solve(const MergeProblem& original,
   st = SolverStats{};
 
   std::optional<MergeSolution> best;
-  const int max_k = options.max_k > 0 ? std::min(options.max_k, n) : n;
-
-  for (int k = 1; k <= max_k; ++k) {
+  for (int k = 1; k <= n; ++k) {
     const bool completed = ForEachCombination(
         static_cast<int>(others.size()), k - 1, [&](const std::vector<int>& combo) {
           if (options.max_candidate_sets > 0 &&

@@ -18,9 +18,8 @@
 namespace quilt {
 
 // SolverOptions fields honored: mip_gap, max_nodes_per_ilp, deadline, cache,
-// max_k (0 = sweep all k up to |V|), max_candidate_sets (abort enumeration
-// after this many root sets; the best solution so far is returned, marked
-// non-exhaustive in SolverStats).
+// max_candidate_sets (abort enumeration after this many root sets; the best
+// solution so far is returned, marked non-exhaustive in SolverStats).
 class OptimalSolver : public MergeSolver {
  public:
   std::string name() const override { return "optimal"; }

@@ -49,6 +49,9 @@ std::unique_ptr<Pass> MakeMergeFuncPass(MergeFuncOptions options) {
   });
 }
 
+namespace {
+
+// The post-merge pipeline's adapters (BuildPostMergePipeline below).
 std::unique_ptr<Pass> MakeDelayHttpPass() {
   return MakeFunctionPass("DelayHTTP",
                           [](IrModule& module) { return RunDelayHttpPass(module); });
@@ -64,6 +67,8 @@ std::unique_ptr<Pass> MakeImplibWrapPass() {
   return MakeFunctionPass("ImplibWrap",
                           [](IrModule& module) { return RunImplibWrapPass(module); });
 }
+
+}  // namespace
 
 std::vector<std::string> PassManager::pass_names() const {
   std::vector<std::string> names;
@@ -99,9 +104,8 @@ Status PassManager::Run(IrModule& module, std::vector<PassStats>* stats_out) {
   return Status::Ok();
 }
 
-PassManager BuildPostMergePipeline(const PostMergePipelineOptions& pipeline,
-                                   PassManagerOptions manager_options) {
-  PassManager manager(manager_options);
+PassManager BuildPostMergePipeline(const PostMergePipelineOptions& pipeline) {
+  PassManager manager;
   if (pipeline.delay_http) {
     manager.Add(MakeDelayHttpPass());
   }

@@ -36,9 +36,6 @@ class Pass {
 // pass's options at construction; Run applies them to the given module.
 std::unique_ptr<Pass> MakeRenameFuncPass(std::string suffix);
 std::unique_ptr<Pass> MakeMergeFuncPass(MergeFuncOptions options);
-std::unique_ptr<Pass> MakeDelayHttpPass();
-std::unique_ptr<Pass> MakeDcePass(DceOptions options);
-std::unique_ptr<Pass> MakeImplibWrapPass();
 
 // Generic adapter: wraps any Result<PassStats>(IrModule&) callable. Used by
 // tests to inject corrupting/counting passes and by callers with one-off
@@ -88,8 +85,7 @@ class PassManager {
 
 // The post-merge optimization pipeline in canonical order: DelayHTTP ->
 // DCE/debloat -> ImplibWrap, honoring the toggles.
-PassManager BuildPostMergePipeline(const PostMergePipelineOptions& pipeline,
-                                   PassManagerOptions manager_options = {});
+PassManager BuildPostMergePipeline(const PostMergePipelineOptions& pipeline);
 
 }  // namespace quilt
 

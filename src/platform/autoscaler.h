@@ -14,9 +14,9 @@
 // event loop (fixed tick interval), reads only engine/platform state that is
 // itself deterministic, and breaks every tie by ascending node id. The same
 // workload produces a byte-identical AutoscaleEvent log across runs and
-// across `decision_threads` settings. With `enabled == false` the autoscaler
-// schedules no events at all, so static-fleet and infinite-pool runs are
-// event-for-event identical to a build without it.
+// across `decision.grasp_threads` settings. With `enabled == false` the
+// autoscaler schedules no events at all, so static-fleet and infinite-pool
+// runs are event-for-event identical to a build without it.
 #ifndef SRC_PLATFORM_AUTOSCALER_H_
 #define SRC_PLATFORM_AUTOSCALER_H_
 

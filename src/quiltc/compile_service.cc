@@ -57,7 +57,12 @@ uint64_t MixQuiltcOptions(uint64_t hash, const QuiltcOptions& o) {
   return MixWord(hash, bits);
 }
 
-}  // namespace
+// Content address of a single-function build.
+uint64_t SingleFingerprint(const SourceFunction& source) {
+  return MixWord(MixWord(kFnvOffset, kSingleTag), CompileService::FingerprintSource(source));
+}
+
+constexpr size_t kArtifactCacheCapacity = 128;
 
 // Modeled llvm-link cost: proportional to the bitcode being combined.
 SimDuration ModeledLinkRoundTime(int64_t module_bytes) {
@@ -69,7 +74,8 @@ SimDuration ModeledMergeRoundTime(int64_t module_bytes) {
   return Seconds(2.2 + static_cast<double>(module_bytes) / (1.2 * 1024 * 1024));
 }
 
-// Modeled llc cost for the final bitcode.
+}  // namespace
+
 SimDuration ModeledCodegenTime(int64_t module_bytes) {
   return Seconds(3.0 + static_cast<double>(module_bytes) / (0.9 * 1024 * 1024));
 }
@@ -267,7 +273,7 @@ Result<uint64_t> CompileService::FingerprintGroup(
 CompileService::CompileService(CompileServiceOptions options)
     : options_(std::move(options)),
       ir_cache_(options_.ir_cache_capacity),
-      artifact_cache_(options_.artifact_cache_capacity) {}
+      artifact_cache_(kArtifactCacheCapacity) {}
 
 Result<IrModule> CompileService::CompileFresh(const SourceFunction& source) const {
   Result<IrModule> module =
@@ -281,34 +287,6 @@ Result<IrModule> CompileService::CompileFresh(const SourceFunction& source) cons
   if (!verified.ok()) {
     return Status(verified.code(), StrCat("frontend produced an invalid module for '",
                                           source.handle, "': ", verified.message()));
-  }
-  return module;
-}
-
-Result<IrModule> CompileService::GetModule(const SourceFunction& source, bool* cache_hit) {
-  if (cache_hit != nullptr) {
-    *cache_hit = false;
-  }
-  const uint64_t fp = FingerprintSource(source);
-  if (options_.ir_cache) {
-    ++stats_.ir_lookups;
-    IrModule cached;
-    if (ir_cache_.Lookup(fp, &cached)) {
-      ++stats_.ir_hits;
-      if (cache_hit != nullptr) {
-        *cache_hit = true;
-      }
-      return cached;
-    }
-  }
-  Result<IrModule> module = CompileFresh(source);
-  if (!module.ok()) {
-    return module.status();
-  }
-  ++stats_.frontend_compiles;
-  if (options_.ir_cache) {
-    ir_cache_.Insert(fp, *module);
-    ++stats_.ir_insertions;
   }
   return module;
 }
@@ -331,9 +309,8 @@ Result<MergedArtifact> CompileService::BuildSingleFromModule(const SourceFunctio
 }
 
 Result<MergedArtifact> CompileService::MergeFromModules(
-    const CallGraph& graph, const GroupPlan& plan,
-    const std::map<uint64_t, IrModule>& modules) const {
-  const PassManagerOptions pm_options{options_.verify_each_pass};
+    const GroupPlan& plan, const std::map<uint64_t, IrModule>& modules) const {
+  const CallGraph& graph = *plan.graph;
 
   // Looks up a member's compiled module in the snapshot; returns a mutable
   // copy (merge rounds rename and splice the callee module).
@@ -409,7 +386,7 @@ Result<MergedArtifact> CompileService::MergeFromModules(
     }
     mf.profiled_alpha = max_alpha;
 
-    PassManager round(pm_options);
+    PassManager round;
     round.Add(MakeMergeFuncPass(std::move(mf)));
     QUILT_RETURN_IF_ERROR(round.Run(merged, &artifact.pass_stats));
     artifact.merge_time += ModeledMergeRoundTime(merged.TotalCodeSize());
@@ -430,7 +407,7 @@ Result<MergedArtifact> CompileService::MergeFromModules(
     }
     IrModule callee_module = std::move(compiled).value();
 
-    PassManager rename(pm_options);
+    PassManager rename;
     rename.Add(MakeRenameFuncPass(FlatHandle(handle)));
     QUILT_RETURN_IF_ERROR(rename.Run(callee_module, &artifact.pass_stats));
 
@@ -476,7 +453,7 @@ Result<MergedArtifact> CompileService::MergeFromModules(
   pipeline.dce = options_.quiltc.dce;
   pipeline.implib_wrap = options_.quiltc.implib_wrap;
   pipeline.dce_extra_roots = {root_scaffold};
-  PassManager post_merge = BuildPostMergePipeline(pipeline, pm_options);
+  PassManager post_merge = BuildPostMergePipeline(pipeline);
   QUILT_RETURN_IF_ERROR(post_merge.Run(merged, &artifact.pass_stats));
 
   // Codegen lowers whatever the LAST module-mutating pass left behind, so
@@ -504,6 +481,21 @@ double SingleChargedCost(const MergedArtifact& artifact, bool ir_hit) {
   // The cached IR skips the frontend share (dependency compilation + the
   // per-function frontend codegen); link + merge + llc still run.
   return total - ToSeconds(artifact.compile_time);
+}
+
+CompileRecord MakeRecord(const MergedArtifact& artifact, const char* kind) {
+  CompileRecord record;
+  record.kind = kind;
+  record.handle = artifact.handle;
+  record.members = static_cast<int>(artifact.member_handles.size());
+  record.fingerprint = artifact.fingerprint;
+  record.localized_edges = static_cast<int>(artifact.localized_edges.size());
+  record.compile_s = ToSeconds(artifact.compile_time);
+  record.link_s = ToSeconds(artifact.link_time);
+  record.merge_s = ToSeconds(artifact.merge_time);
+  record.codegen_s = ToSeconds(artifact.codegen_time);
+  record.total_s = ToSeconds(artifact.TotalPipelineTime());
+  return record;
 }
 
 }  // namespace
@@ -537,114 +529,187 @@ double CompileService::MergeChargedCost(const GroupPlan& plan, const MergedArtif
   return total - credit;
 }
 
-void CompileService::FillRecord(const MergedArtifact& artifact, uint64_t fingerprint,
-                                const char* kind, CompileRecord* record) const {
-  if (record == nullptr) {
+// ---------------------------------------------------------------------------
+// The cache protocol. Each public entry point holds the service lock for its
+// whole duration; internal helpers never lock. The parallel phases only call
+// const, lock-free, pure helpers (CompileFresh / BuildSingleFromModule /
+// MergeFromModules).
+
+struct CompileService::Job {
+  const SourceFunction* source = nullptr;  // Single build; null for a merge.
+  GroupPlan plan;                          // Merge.
+  uint64_t fingerprint = 0;
+  bool cached = false;  // The artifact cache answered.
+  Result<MergedArtifact> artifact = InternalError("job never ran");
+  std::vector<bool> input_hit;  // Per input (source, or plan BFS order): IR hit.
+};
+
+template <typename Task>
+void CompileService::ForEach(size_t count, const Task& task) const {
+  if (count <= 1 || options_.compile_threads <= 1) {
+    for (size_t i = 0; i < count; ++i) {
+      task(i);
+    }
     return;
   }
-  record->kind = kind;
-  record->handle = artifact.handle;
-  record->members = static_cast<int>(artifact.member_handles.size());
-  record->fingerprint = fingerprint;
-  record->localized_edges = static_cast<int>(artifact.localized_edges.size());
-  record->compile_s = ToSeconds(artifact.compile_time);
-  record->link_s = ToSeconds(artifact.link_time);
-  record->merge_s = ToSeconds(artifact.merge_time);
-  record->codegen_s = ToSeconds(artifact.codegen_time);
-  record->total_s = ToSeconds(artifact.TotalPipelineTime());
+  ThreadPool pool(options_.compile_threads);
+  pool.ParallelFor(static_cast<int>(count), [&](int i) { task(static_cast<size_t>(i)); });
 }
 
-// ---------------------------------------------------------------------------
-// Public entry points. Each holds the service lock for its whole duration;
-// internal helpers never lock. The parallel phases below only call const,
-// lock-free, pure helpers (CompileFresh / MergeFromModules).
+Status CompileService::Run(std::span<Job> jobs, std::vector<CompileRecord>* records) {
+  // --- Phase 1 (sequential): consult the artifact cache per job, then the IR
+  // cache for every input of an artifact miss, and collect the deduplicated
+  // fresh-compile list in first-seen order.
+  std::map<uint64_t, IrModule> modules;  // Source fingerprint -> module.
+  std::vector<std::pair<uint64_t, const SourceFunction*>> misses;
+  auto consult_ir_cache = [&](const SourceFunction& source) {
+    const uint64_t fp = FingerprintSource(source);
+    if (modules.count(fp) > 0) {
+      // Already fetched for an earlier job this batch; a cache would have
+      // answered, so count it as a hit for accounting purposes.
+      if (options_.ir_cache) {
+        ++stats_.ir_lookups;
+        ++stats_.ir_hits;
+      }
+      return true;
+    }
+    // Already queued for a fresh compile this batch: a lookup, not a hit.
+    const auto is_fp = [fp](const auto& miss) { return miss.first == fp; };
+    if (std::any_of(misses.begin(), misses.end(), is_fp)) {
+      if (options_.ir_cache) {
+        ++stats_.ir_lookups;
+      }
+      return false;
+    }
+    if (options_.ir_cache) {
+      ++stats_.ir_lookups;
+      IrModule cached;
+      if (ir_cache_.Lookup(fp, &cached)) {
+        ++stats_.ir_hits;
+        modules.emplace(fp, std::move(cached));
+        return true;
+      }
+    }
+    misses.emplace_back(fp, &source);
+    return false;
+  };
+  for (Job& job : jobs) {
+    if (options_.artifact_cache) {
+      ++stats_.artifact_lookups;
+      MergedArtifact cached;
+      if (artifact_cache_.Lookup(job.fingerprint, &cached)) {
+        ++stats_.artifact_hits;
+        job.cached = true;
+        job.artifact = std::move(cached);
+        continue;
+      }
+    }
+    if (job.source != nullptr) {
+      job.input_hit = {consult_ir_cache(*job.source)};
+      continue;
+    }
+    for (NodeId id : job.plan.bfs_order) {
+      job.input_hit.push_back(consult_ir_cache(*job.plan.member_sources.at(id)));
+    }
+  }
+
+  // --- Phase 2: fresh frontend compiles into pre-sized slots; validated and
+  // inserted into the IR cache sequentially in miss order, so the first
+  // error and the LRU/statistics sequence are independent of scheduling.
+  std::vector<Result<IrModule>> compiled(misses.size(), Result<IrModule>(IrModule()));
+  ForEach(misses.size(), [&](size_t i) { compiled[i] = CompileFresh(*misses[i].second); });
+  for (size_t i = 0; i < misses.size(); ++i) {
+    if (!compiled[i].ok()) {
+      return compiled[i].status();
+    }
+    ++stats_.frontend_compiles;
+    if (options_.ir_cache) {
+      ir_cache_.Insert(misses[i].first, *compiled[i]);
+      ++stats_.ir_insertions;
+    }
+    modules.emplace(misses[i].first, std::move(compiled[i]).value());
+  }
+
+  // --- Phase 3: the builds themselves. Workers read only the immutable
+  // module snapshot and write only their own job.
+  ForEach(jobs.size(), [&](size_t i) {
+    Job& job = jobs[i];
+    if (job.cached) {
+      return;
+    }
+    if (job.source == nullptr) {
+      job.artifact = MergeFromModules(job.plan, modules);
+      return;
+    }
+    auto it = modules.find(FingerprintSource(*job.source));
+    job.artifact =
+        it == modules.end()
+            ? Result<MergedArtifact>(
+                  InternalError(StrCat("no compiled module for '", job.source->handle, "'")))
+            : BuildSingleFromModule(*job.source, it->second);
+  });
+
+  // --- Phase 4 (sequential, job order): surface the first error, account,
+  // insert into the artifact cache, and emit records.
+  for (Job& job : jobs) {
+    if (!job.artifact.ok()) {
+      return job.artifact.status();
+    }
+    job.artifact->fingerprint = job.fingerprint;
+  }
+  for (Job& job : jobs) {
+    const MergedArtifact& artifact = *job.artifact;
+    stats_.modeled_cost_s += ToSeconds(artifact.TotalPipelineTime());
+    if (!job.cached) {
+      if (job.source != nullptr) {
+        ++stats_.singles_built;
+        stats_.charged_cost_s += SingleChargedCost(artifact, job.input_hit[0]);
+      } else {
+        ++stats_.merges_built;
+        stats_.charged_cost_s += MergeChargedCost(job.plan, artifact, job.input_hit);
+      }
+      if (options_.artifact_cache) {
+        artifact_cache_.Insert(job.fingerprint, artifact);
+        ++stats_.artifact_insertions;
+      }
+    }
+    if (records != nullptr) {
+      records->push_back(MakeRecord(artifact, job.source != nullptr ? "single" : "merge"));
+    }
+  }
+  return Status::Ok();
+}
+
+Result<MergedArtifact> CompileService::RunOne(Job& job, CompileRecord* record) {
+  std::vector<CompileRecord> records;
+  QUILT_RETURN_IF_ERROR(Run(std::span<Job>(&job, 1), record != nullptr ? &records : nullptr));
+  if (record != nullptr) {
+    *record = std::move(records.front());
+  }
+  return std::move(job.artifact);
+}
 
 Result<MergedArtifact> CompileService::BuildSingleFunction(const SourceFunction& source,
                                                            CompileRecord* record) {
   std::lock_guard<std::mutex> lock(mutex_);
-
-  const uint64_t fp = MixWord(MixWord(kFnvOffset, kSingleTag), FingerprintSource(source));
-  if (options_.artifact_cache) {
-    ++stats_.artifact_lookups;
-    MergedArtifact cached;
-    if (artifact_cache_.Lookup(fp, &cached)) {
-      ++stats_.artifact_hits;
-      stats_.modeled_cost_s += ToSeconds(cached.TotalPipelineTime());
-      FillRecord(cached, fp, "single", record);
-      return cached;
-    }
-  }
-
-  bool ir_hit = false;
-  Result<IrModule> module = GetModule(source, &ir_hit);
-  if (!module.ok()) {
-    return module.status();
-  }
-  Result<MergedArtifact> artifact = BuildSingleFromModule(source, *module);
-  if (!artifact.ok()) {
-    return artifact.status();
-  }
-  artifact->fingerprint = fp;
-  ++stats_.singles_built;
-  stats_.modeled_cost_s += ToSeconds(artifact->TotalPipelineTime());
-  stats_.charged_cost_s += SingleChargedCost(*artifact, ir_hit);
-  if (options_.artifact_cache) {
-    artifact_cache_.Insert(fp, *artifact);
-    ++stats_.artifact_insertions;
-  }
-  FillRecord(*artifact, fp, "single", record);
-  return artifact;
+  Job job;
+  job.source = &source;
+  job.fingerprint = SingleFingerprint(source);
+  return RunOne(job, record);
 }
 
 Result<MergedArtifact> CompileService::MergeGroup(
     const CallGraph& graph, const ::quilt::MergeGroup& group,
     const std::map<std::string, SourceFunction>& sources, CompileRecord* record) {
   std::lock_guard<std::mutex> lock(mutex_);
-
   Result<GroupPlan> plan = PlanGroup(graph, group, sources);
   if (!plan.ok()) {
     return plan.status();
   }
-
-  if (options_.artifact_cache) {
-    ++stats_.artifact_lookups;
-    MergedArtifact cached;
-    if (artifact_cache_.Lookup(plan->fingerprint, &cached)) {
-      ++stats_.artifact_hits;
-      stats_.modeled_cost_s += ToSeconds(cached.TotalPipelineTime());
-      FillRecord(cached, plan->fingerprint, "merge", record);
-      return cached;
-    }
-  }
-
-  // Compile (or fetch) every member, then run the merge rounds against the
-  // immutable snapshot.
-  std::map<uint64_t, IrModule> snapshot;
-  std::vector<bool> member_hit(plan->bfs_order.size(), false);
-  for (size_t i = 0; i < plan->bfs_order.size(); ++i) {
-    const SourceFunction& source = *plan->member_sources.at(plan->bfs_order[i]);
-    bool hit = false;
-    Result<IrModule> module = GetModule(source, &hit);
-    if (!module.ok()) {
-      return module.status();
-    }
-    member_hit[i] = hit;
-    snapshot.emplace(FingerprintSource(source), std::move(module).value());
-  }
-
-  Result<MergedArtifact> artifact = MergeFromModules(graph, *plan, snapshot);
-  if (!artifact.ok()) {
-    return artifact.status();
-  }
-  ++stats_.merges_built;
-  stats_.modeled_cost_s += ToSeconds(artifact->TotalPipelineTime());
-  stats_.charged_cost_s += MergeChargedCost(*plan, *artifact, member_hit);
-  if (options_.artifact_cache) {
-    artifact_cache_.Insert(plan->fingerprint, *artifact);
-    ++stats_.artifact_insertions;
-  }
-  FillRecord(*artifact, plan->fingerprint, "merge", record);
-  return artifact;
+  Job job;
+  job.plan = std::move(plan).value();
+  job.fingerprint = job.plan.fingerprint;
+  return RunOne(job, record);
 }
 
 Result<std::vector<MergedArtifact>> CompileService::MergeSolution(
@@ -652,189 +717,32 @@ Result<std::vector<MergedArtifact>> CompileService::MergeSolution(
     const std::map<std::string, SourceFunction>& sources,
     std::vector<CompileRecord>* records) {
   std::lock_guard<std::mutex> lock(mutex_);
-
-  // Per-group work item, filled over the sequential phases below.
-  struct GroupWork {
-    bool single = false;
-    const SourceFunction* source = nullptr;  // Singles.
-    GroupPlan plan;                          // Merges.
-    uint64_t fingerprint = 0;
-    bool cached = false;
-    MergedArtifact artifact;  // Valid when cached; else filled in phase D.
-    std::vector<bool> member_hit;
-    bool single_ir_hit = false;
-  };
-  std::vector<GroupWork> work(solution.groups.size());
-
-  // --- Phase A+B (sequential): plan each group, consult the artifact cache,
-  // consult the IR cache for members of artifact misses, and collect the
-  // deduplicated fresh-compile list in first-seen order.
-  std::map<uint64_t, IrModule> snapshot;  // source fp -> compiled module
-  std::vector<const SourceFunction*> misses;
-  std::set<uint64_t> pending;  // Source fps already in `misses`.
-
-  auto need_module = [&](const SourceFunction& source, bool* hit) {
-    const uint64_t fp = FingerprintSource(source);
-    *hit = false;
-    if (snapshot.count(fp) > 0) {
-      // Already fetched for an earlier group this batch; a cache would have
-      // answered, so count it as a hit for accounting purposes.
-      if (options_.ir_cache) {
-        ++stats_.ir_lookups;
-        ++stats_.ir_hits;
-      }
-      *hit = true;
-      return;
-    }
-    if (pending.count(fp) > 0) {
-      if (options_.ir_cache) {
-        ++stats_.ir_lookups;
-      }
-      return;
-    }
-    if (options_.ir_cache) {
-      ++stats_.ir_lookups;
-      IrModule cached;
-      if (ir_cache_.Lookup(fp, &cached)) {
-        ++stats_.ir_hits;
-        snapshot.emplace(fp, std::move(cached));
-        *hit = true;
-        return;
-      }
-    }
-    misses.push_back(&source);
-    pending.insert(fp);
-  };
-
+  std::vector<Job> jobs(solution.groups.size());
   for (size_t g = 0; g < solution.groups.size(); ++g) {
     const ::quilt::MergeGroup& group = solution.groups[g];
-    GroupWork& w = work[g];
+    Job& job = jobs[g];
     if (group.members.size() == 1) {
-      w.single = true;
       const std::string& handle = graph.node(group.root).name;
       auto it = sources.find(handle);
       if (it == sources.end()) {
         return NotFoundError(StrCat("no source for '", handle, "'"));
       }
-      w.source = &it->second;
-      w.fingerprint = MixWord(MixWord(kFnvOffset, kSingleTag), FingerprintSource(*w.source));
-    } else {
-      Result<GroupPlan> plan = PlanGroup(graph, group, sources);
-      if (!plan.ok()) {
-        return plan.status();
-      }
-      w.plan = std::move(plan).value();
-      w.fingerprint = w.plan.fingerprint;
+      job.source = &it->second;
+      job.fingerprint = SingleFingerprint(*job.source);
+      continue;
     }
-
-    if (options_.artifact_cache) {
-      ++stats_.artifact_lookups;
-      MergedArtifact cached;
-      if (artifact_cache_.Lookup(w.fingerprint, &cached)) {
-        ++stats_.artifact_hits;
-        w.cached = true;
-        w.artifact = std::move(cached);
-        continue;
-      }
+    Result<GroupPlan> plan = PlanGroup(graph, group, sources);
+    if (!plan.ok()) {
+      return plan.status();
     }
-
-    if (w.single) {
-      need_module(*w.source, &w.single_ir_hit);
-    } else {
-      w.member_hit.assign(w.plan.bfs_order.size(), false);
-      for (size_t i = 0; i < w.plan.bfs_order.size(); ++i) {
-        bool hit = false;
-        need_module(*w.plan.member_sources.at(w.plan.bfs_order[i]), &hit);
-        w.member_hit[i] = hit;
-      }
-    }
+    job.plan = std::move(plan).value();
+    job.fingerprint = job.plan.fingerprint;
   }
-
-  // --- Phase C: fresh frontend compiles in parallel, into pre-sized slots;
-  // results are validated and inserted into the cache sequentially in miss
-  // order, so the first error and the LRU/statistics sequence are
-  // independent of scheduling.
-  {
-    std::vector<Result<IrModule>> slots(misses.size(), Result<IrModule>(IrModule()));
-    ThreadPool pool(options_.compile_threads);
-    pool.ParallelFor(static_cast<int>(misses.size()), [&](int i) {
-      slots[static_cast<size_t>(i)] = CompileFresh(*misses[static_cast<size_t>(i)]);
-    });
-    for (size_t i = 0; i < slots.size(); ++i) {
-      if (!slots[i].ok()) {
-        return slots[i].status();
-      }
-      ++stats_.frontend_compiles;
-      const uint64_t fp = FingerprintSource(*misses[i]);
-      if (options_.ir_cache) {
-        ir_cache_.Insert(fp, *slots[i]);
-        ++stats_.ir_insertions;
-      }
-      snapshot.emplace(fp, std::move(slots[i]).value());
-    }
-  }
-
-  // --- Phase D: the merges themselves, in parallel. Workers read only the
-  // immutable snapshot and their own slot; no shared state is touched.
-  std::vector<int> todo;
-  for (size_t g = 0; g < work.size(); ++g) {
-    if (!work[g].cached) {
-      todo.push_back(static_cast<int>(g));
-    }
-  }
-  std::vector<Result<MergedArtifact>> built(todo.size(),
-                                            Result<MergedArtifact>(MergedArtifact()));
-  {
-    ThreadPool pool(options_.compile_threads);
-    pool.ParallelFor(static_cast<int>(todo.size()), [&](int i) {
-      GroupWork& w = work[static_cast<size_t>(todo[static_cast<size_t>(i)])];
-      if (w.single) {
-        auto it = snapshot.find(FingerprintSource(*w.source));
-        built[static_cast<size_t>(i)] =
-            it == snapshot.end()
-                ? Result<MergedArtifact>(
-                      InternalError(StrCat("no compiled module for '", w.source->handle, "'")))
-                : BuildSingleFromModule(*w.source, it->second);
-      } else {
-        built[static_cast<size_t>(i)] = MergeFromModules(graph, w.plan, snapshot);
-      }
-    });
-  }
-
-  // --- Phase E (sequential, group order): surface the first error, account,
-  // insert into the artifact cache, and emit records.
-  for (size_t i = 0; i < todo.size(); ++i) {
-    if (!built[i].ok()) {
-      return built[i].status();
-    }
-    GroupWork& w = work[static_cast<size_t>(todo[i])];
-    w.artifact = std::move(built[i]).value();
-    w.artifact.fingerprint = w.fingerprint;
-  }
-
+  QUILT_RETURN_IF_ERROR(Run(jobs, records));
   std::vector<MergedArtifact> artifacts;
-  artifacts.reserve(work.size());
-  for (GroupWork& w : work) {
-    stats_.modeled_cost_s += ToSeconds(w.artifact.TotalPipelineTime());
-    if (!w.cached) {
-      if (w.single) {
-        ++stats_.singles_built;
-        stats_.charged_cost_s += SingleChargedCost(w.artifact, w.single_ir_hit);
-      } else {
-        ++stats_.merges_built;
-        stats_.charged_cost_s += MergeChargedCost(w.plan, w.artifact, w.member_hit);
-      }
-      if (options_.artifact_cache) {
-        artifact_cache_.Insert(w.fingerprint, w.artifact);
-        ++stats_.artifact_insertions;
-      }
-    }
-    if (records != nullptr) {
-      CompileRecord record;
-      FillRecord(w.artifact, w.fingerprint, w.single ? "single" : "merge", &record);
-      records->push_back(std::move(record));
-    }
-    artifacts.push_back(std::move(w.artifact));
+  artifacts.reserve(jobs.size());
+  for (Job& job : jobs) {
+    artifacts.push_back(std::move(job.artifact).value());
   }
   return artifacts;
 }

@@ -29,6 +29,7 @@
 #include <list>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -63,12 +64,8 @@ struct CompileServiceOptions {
   bool ir_cache = true;
   size_t ir_cache_capacity = 512;
 
-  // Merged-artifact cache, LRU by canonical group fingerprint.
+  // Merged-artifact cache, LRU by canonical group fingerprint (128 entries).
   bool artifact_cache = true;
-  size_t artifact_cache_capacity = 128;
-
-  // Run IrModule::Verify() after every pass of every pipeline (debug aid).
-  bool verify_each_pass = false;
 
   // Test seam: replaces CompileToIr when set. Lets tests count fresh
   // frontend runs or hand the pipeline a deliberately corrupted module.
@@ -127,8 +124,9 @@ class CompileService {
                                     CompileRecord* record = nullptr);
 
   // Merges every group of a solution, groups in parallel across
-  // options().compile_threads. Artifacts and records come back in group
-  // order and are byte-identical for any thread count and cache setting.
+  // options().compile_threads; one-member groups take the single-function
+  // path. Artifacts and records come back in group order and are
+  // byte-identical for any thread count and cache setting.
   Result<std::vector<MergedArtifact>> MergeSolution(
       const CallGraph& graph, const MergeSolution& solution,
       const std::map<std::string, SourceFunction>& sources,
@@ -151,6 +149,7 @@ class CompileService {
 
  private:
   struct GroupPlan;  // Validated group: member sources in BFS order.
+  struct Job;        // One artifact to produce: a single build or a group merge.
 
   template <typename V>
   class LruCache {
@@ -167,8 +166,6 @@ class CompileService {
     std::unordered_map<uint64_t, typename std::list<std::pair<uint64_t, V>>::iterator> index_;
   };
 
-  // Frontend with IR-cache consultation; sequential-phase only.
-  Result<IrModule> GetModule(const SourceFunction& source, bool* cache_hit);
   // Raw frontend run + Verify, no cache. Safe to call from worker threads.
   Result<IrModule> CompileFresh(const SourceFunction& source) const;
 
@@ -182,13 +179,22 @@ class CompileService {
 
   // The Figure 5 merge rounds over already-compiled member modules. Pure:
   // reads `modules` (keyed by source fingerprint), touches no service state.
-  Result<MergedArtifact> MergeFromModules(const CallGraph& graph, const GroupPlan& plan,
+  Result<MergedArtifact> MergeFromModules(const GroupPlan& plan,
                                           const std::map<uint64_t, IrModule>& modules) const;
   Result<MergedArtifact> BuildSingleFromModule(const SourceFunction& source,
                                                const IrModule& module) const;
 
-  void FillRecord(const MergedArtifact& artifact, uint64_t fingerprint,
-                  const char* kind, CompileRecord* record) const;
+  // The one cache protocol behind all three entry points: artifact-cache
+  // lookup, IR-cache consultation for the inputs of every miss, fresh
+  // frontend runs and builds (threaded only when there is more than one),
+  // then accounting and cache inserts in job order. Leaves each job's
+  // artifact in the job and appends one record per job. Caller holds mutex_.
+  Status Run(std::span<Job> jobs, std::vector<CompileRecord>* records);
+  Result<MergedArtifact> RunOne(Job& job, CompileRecord* record);
+  // Runs task(i) for i in [0, count), across compile_threads only when there
+  // is more than one.
+  template <typename Task>
+  void ForEach(size_t count, const Task& task) const;
 
   CompileServiceOptions options_;
 
@@ -198,10 +204,7 @@ class CompileService {
   CompileServiceStats stats_;
 };
 
-// Modeled pipeline stage costs (shared with benches/tests so expectations
-// track the model).
-SimDuration ModeledLinkRoundTime(int64_t module_bytes);
-SimDuration ModeledMergeRoundTime(int64_t module_bytes);
+// Modeled llc cost for the final bitcode (tests check artifacts against it).
 SimDuration ModeledCodegenTime(int64_t module_bytes);
 
 // Canonical serialization of everything observable about an artifact except

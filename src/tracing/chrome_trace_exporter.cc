@@ -4,9 +4,12 @@
 #include <fstream>
 #include <vector>
 
+#include "src/common/json.h"
 #include "src/common/strings.h"
 
 namespace quilt {
+
+namespace {
 
 Json ChromeTraceDocument(const Trace& trace) {
   Json doc = Json::MakeObject();
@@ -87,6 +90,8 @@ Json ChromeTraceDocument(const Trace& trace) {
   doc["traceEvents"] = std::move(events);
   return doc;
 }
+
+}  // namespace
 
 std::string ExportChromeTrace(const Trace& trace) {
   return ChromeTraceDocument(trace).Dump();

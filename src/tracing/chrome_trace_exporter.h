@@ -8,18 +8,14 @@
 
 #include <string>
 
-#include "src/common/json.h"
 #include "src/common/status.h"
 #include "src/tracing/trace_assembler.h"
 
 namespace quilt {
 
-// The trace-event document ({"displayTimeUnit": "ms", "traceEvents": [...]})
-// as a Json value. Timestamps are microseconds relative to the trace root's
-// start, per the trace-event format.
-Json ChromeTraceDocument(const Trace& trace);
-
-// Serialized form of ChromeTraceDocument.
+// The serialized trace-event document ({"displayTimeUnit": "ms",
+// "traceEvents": [...]}). Timestamps are microseconds relative to the trace
+// root's start, per the trace-event format.
 std::string ExportChromeTrace(const Trace& trace);
 
 // Writes ExportChromeTrace(trace) to `path`.

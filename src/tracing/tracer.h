@@ -78,7 +78,6 @@ class Tracer {
   void Flush();
 
   int64_t recorded() const { return recorded_; }
-  SimDuration batch_interval() const { return batch_interval_; }
 
  private:
   void ScheduleFlush();

@@ -124,7 +124,7 @@ TEST(PlanCostTest, ScaleNormalizesAllCutDollarsToEdgeWeight) {
   ASSERT_GT(all_cut, 0.0);
   EXPECT_DOUBLE_EQ(model.scale, g.TotalEdgeWeight() / all_cut);
   EXPECT_DOUBLE_EQ(model.base, 0.0);
-  // λ comes from SolverOptions.cost_weight, never from the model itself.
+  // The model stays latency-only until its caller stamps λ on it.
   EXPECT_DOUBLE_EQ(model.weight, 1.0);
 }
 

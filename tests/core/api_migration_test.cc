@@ -77,7 +77,7 @@ TEST(ApiMigrationTest, ControllerOptionsValidateGatesRegistration) {
   EXPECT_EQ(controller.RegisterWorkflow(FanOutApp(4)).code(), StatusCode::kInvalidArgument);
 
   ControllerOptions no_threads;
-  no_threads.decision_threads = 0;
+  no_threads.decision.grasp_threads = 0;
   EXPECT_FALSE(no_threads.Validate().ok());
 }
 

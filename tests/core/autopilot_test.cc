@@ -18,7 +18,7 @@ constexpr char kRoot[] = "fan-out-root";
 ControllerOptions FanOutOptions(int threads = 1) {
   ControllerOptions options;
   options.container_memory_limit_mb = 256.0;
-  options.decision_threads = threads;
+  options.decision.grasp_threads = threads;
   return options;
 }
 

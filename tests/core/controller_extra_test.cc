@@ -206,9 +206,9 @@ TEST(ControllerExtraTest, CompileThreadsAndCachesDoNotChangeWhatIsDeployed) {
   const MergeSolution solution = FullMergeSolution(*graph);
 
   std::vector<ControllerOptions> configs(3);
-  configs[0].compile_ir_cache = false;
-  configs[0].compile_artifact_cache = false;
-  configs[2].compile_threads = 8;
+  configs[0].compile.ir_cache = false;
+  configs[0].compile.artifact_cache = false;
+  configs[2].compile.compile_threads = 8;
 
   std::string reference;
   for (size_t i = 0; i < configs.size(); ++i) {

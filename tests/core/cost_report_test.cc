@@ -1,5 +1,5 @@
 // Billing at the controller/autopilot level: canonical CostRecord lines are
-// byte-identical across runs and decision-thread counts, CollectCostReport
+// byte-identical across runs and thread counts, CollectCostReport
 // snapshots the meter exactly, and the autopilot's cost loop (canary $ gate,
 // cost-regression detector) is wired to the same records.
 #include <gtest/gtest.h>
@@ -27,11 +27,14 @@ std::string SerializedCostLines(const std::vector<CostRecord>& records) {
   return out;
 }
 
-// Full pipeline at a given decision-thread count and λ: register, profile,
-// optimize, serve load, then collect the bill.
-std::string RunPipeline(int threads, double lambda) {
+// Full pipeline at a given thread count and λ: register, profile, optimize
+// (GRASP starts and the compile service on `threads` threads), serve load,
+// then collect the bill. `decision`, when set, receives the decision record.
+std::string RunPipeline(int threads, double lambda, DecisionRecord* decision = nullptr) {
   ControllerOptions options;
-  options.decision_threads = threads;
+  options.decision.solver = SolverChoice::kGrasp;
+  options.decision.grasp_threads = threads;
+  options.compile.compile_threads = threads;
   options.cost.cost_weight = lambda;
   Simulation sim;
   Platform platform(&sim, PlatformConfig{});
@@ -49,6 +52,9 @@ std::string RunPipeline(int threads, double lambda) {
   controller.StopProfiling();
   Result<MergeSolution> solution = controller.OptimizeWorkflow(app.root_handle);
   EXPECT_TRUE(solution.ok());
+  if (decision != nullptr && !controller.metrics().decisions().empty()) {
+    *decision = controller.metrics().decisions().back();
+  }
   generator.Run(&sim, &platform, app.root_handle, load);
 
   return SerializedCostLines(controller.metrics().CollectCostReport().records);
@@ -58,8 +64,12 @@ TEST(CostReportTest, CostLinesByteIdenticalAcrossRunsAndThreads) {
   const std::string one = RunPipeline(1, 0.5);
   ASSERT_FALSE(one.empty());
   EXPECT_EQ(one, RunPipeline(1, 0.5));  // Same run, same bytes.
-  EXPECT_EQ(one, RunPipeline(2, 0.5));  // Decision threads don't leak in.
-  EXPECT_EQ(one, RunPipeline(8, 0.5));
+  EXPECT_EQ(one, RunPipeline(2, 0.5));  // Threads don't leak in.
+  DecisionRecord decision;
+  EXPECT_EQ(one, RunPipeline(8, 0.5, &decision));
+  // The 8-thread run really ran GRASP's starts on several threads.
+  EXPECT_EQ(decision.solver, "grasp");
+  EXPECT_GT(decision.threads, 1);
 }
 
 TEST(CostReportTest, ReportMatchesMeterExactly) {

@@ -121,7 +121,7 @@ TEST(MonitorTest, OomKillsTriggerRollback) {
   // Deploy with conditional invocations disabled so fan-outs beyond the
   // container's capacity OOM-kill the merged function.
   ControllerOptions options = FanOutOptions();
-  options.quiltc.conditional_invocations = false;
+  options.compile.quiltc.conditional_invocations = false;
   Harness h(options);
   ASSERT_TRUE(h.controller.RegisterWorkflow(FanOutApp(8)).ok());
   h.ProfileFanOut(2);

@@ -3,6 +3,7 @@
 // model can flip which edge gets cut; PlanDollarCost prices a finished plan.
 #include <gtest/gtest.h>
 
+#include "src/partition/decision_engine.h"
 #include "src/partition/grasp_solver.h"
 #include "src/partition/heuristic_solver.h"
 #include "src/partition/merge_solver.h"
@@ -86,20 +87,18 @@ TEST(CostObjectiveTest, CostWeightFlipsWhichEdgeIsCut) {
   const ChainFixture fx;
   OptimalSolver solver;
 
-  // Default options carry λ = 1: pure latency, cut the light A->B edge
-  // (weight 10) even though that cut costs $1000.
+  // λ = 1: pure latency, cut the light A->B edge (weight 10) even though
+  // that cut costs $1000.
   Result<MergeSolution> latency = solver.Solve(fx.Problem(1.0));
   ASSERT_TRUE(latency.ok());
   EXPECT_DOUBLE_EQ(latency->cross_cost, 10.0);
   EXPECT_DOUBLE_EQ(PlanDollarCost(fx.g, *latency, fx.Problem(0.0).cost), 1000.0);
 
-  // λ = 0 through the controller's knob: pure dollars, cut B->C instead
+  // λ = 0 on the problem's cost model: pure dollars, cut B->C instead
   // (costs $1) even though its latency weight is 99. With the cost term
   // active, the reported cross_cost is the blended objective -- here just
   // the dollar side, scale 1, zero merge floor.
-  SolverOptions dollar_options;
-  dollar_options.cost_weight = 0.0;
-  Result<MergeSolution> dollars = solver.Solve(fx.Problem(1.0), dollar_options);
+  Result<MergeSolution> dollars = solver.Solve(fx.Problem(0.0));
   ASSERT_TRUE(dollars.ok());
   EXPECT_DOUBLE_EQ(ComputeCrossCost(fx.g, *dollars), 99.0);
   EXPECT_DOUBLE_EQ(PlanDollarCost(fx.g, *dollars, fx.Problem(0.0).cost), 1.0);
@@ -107,25 +106,19 @@ TEST(CostObjectiveTest, CostWeightFlipsWhichEdgeIsCut) {
   EXPECT_TRUE(CheckSolution(fx.Problem(0.0), *dollars).ok());
 }
 
-TEST(CostObjectiveTest, SolverOptionsLambdaWinsOverProblemLambda) {
-  // WithCostWeight re-stamps λ without touching anything else...
+TEST(CostObjectiveTest, ProblemLambdaIsTheOnlyDial) {
+  // λ lives on the problem's cost model alone: the DecisionEngine decides
+  // under it and its record reports it, with default engine options.
   const ChainFixture fx;
-  const MergeProblem original = fx.Problem(1.0);
-  const MergeProblem reweighted = WithCostWeight(original, 0.25);
-  EXPECT_DOUBLE_EQ(reweighted.cost.weight, 0.25);
-  EXPECT_EQ(reweighted.graph, original.graph);
-  EXPECT_EQ(reweighted.cost.cut_cost, original.cost.cut_cost);
-  // ... and the original is untouched (solvers copy, they do not mutate).
-  EXPECT_DOUBLE_EQ(original.cost.weight, 1.0);
-
-  // Every solver re-stamps the problem's λ from SolverOptions, so a problem
-  // arriving with λ < 1 still solves latency-only under default options --
-  // this is what keeps the λ = 1 configuration byte-identical to the
-  // pre-billing decision path no matter what the problem carries.
-  OptimalSolver solver;
-  Result<MergeSolution> solution = solver.Solve(fx.Problem(0.0));
-  ASSERT_TRUE(solution.ok());
-  EXPECT_DOUBLE_EQ(solution->cross_cost, 10.0);
+  for (double lambda : {1.0, 0.0}) {
+    DecisionEngine engine;
+    DecisionRecord record;
+    Result<MergeSolution> solution = engine.Decide(fx.Problem(lambda), &record);
+    ASSERT_TRUE(solution.ok()) << "lambda " << lambda;
+    EXPECT_DOUBLE_EQ(record.cost_weight, lambda);
+    // λ = 1 cuts the light A->B edge; λ = 0 the cheap B->C one.
+    EXPECT_DOUBLE_EQ(ComputeCrossCost(fx.g, *solution), lambda == 1.0 ? 10.0 : 99.0);
+  }
 }
 
 TEST(CostObjectiveTest, PlanDollarCostPricesCutAndMergeSides) {

@@ -311,7 +311,7 @@ TEST(NodePlatformTest, NodeSamplesDeterministicAcrossDecisionThreads) {
   auto run = [](int threads) {
     ControllerOptions options;
     options.container_memory_limit_mb = 256.0;
-    options.decision_threads = threads;
+    options.decision.grasp_threads = threads;
     PlatformConfig config;
     config.max_nodes = 6;
     config.node_cpu = 8.0;
