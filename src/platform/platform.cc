@@ -35,6 +35,19 @@ Status PlatformConfig::Validate() const {
   if (retry.jitter < 0.0 || retry.jitter > 1.0) {
     return InvalidArgumentError("retry.jitter must be in [0, 1]");
   }
+  if (retry.initial_backoff < 0 || retry.max_backoff < 0) {
+    return InvalidArgumentError("retry backoffs must not be negative");
+  }
+  if (retry.backoff_multiplier <= 0.0) {
+    return InvalidArgumentError("retry.backoff_multiplier must be > 0");
+  }
+  if (breaker.failure_threshold < 1 || breaker.half_open_max_probes < 1) {
+    return InvalidArgumentError(
+        "breaker.failure_threshold and breaker.half_open_max_probes must be >= 1");
+  }
+  if (breaker.open_duration < 0) {
+    return InvalidArgumentError("breaker.open_duration must not be negative");
+  }
   QUILT_RETURN_IF_ERROR(autoscaler.Validate());
   if (autoscaler.enabled && max_nodes > 0) {
     return InvalidArgumentError(
@@ -270,8 +283,8 @@ Status Platform::RemoveFunction(const std::string& handle) {
   // reuses the slot.
   deployments_[static_cast<size_t>(dep->id)].reset();
   // Answered as a request routed after the removal is.
-  for (PendingRequest& request : queued) {
-    request.respond(NotFoundError("function removed while queued"));
+  for (const PendingRequest& request : queued) {
+    SettleAttempt(request.ctx, request.attempt, NotFoundError("function removed while queued"));
   }
   return Status::Ok();
 }
@@ -588,12 +601,6 @@ void Platform::Invoke(InvokeRequest&& request) {
     });
     return;
   }
-  const TraceContext parent = request.parent;
-  const std::string caller_handle = std::move(request.caller);
-  const std::string callee_handle = std::move(request.callee);
-  const Json payload = std::move(request.payload);
-  const bool async = request.async;
-  std::function<void(Result<Json>)> done = std::move(request.done);
   // Request path: serialize -> network -> (ingress) -> gateway. Paid once
   // per attempt; the span is recorded once per logical invocation, when the
   // response is delivered back to the caller.
@@ -605,53 +612,43 @@ void Platform::Invoke(InvokeRequest&& request) {
     Span& span = ctx->span;
     // Trace identity: nested invocations inherit the root request's trace
     // id; only trace roots mint a new one.
+    const TraceContext& parent = request.parent;
     span.trace_id = parent.valid() ? parent.trace_id : next_trace_id_++;
     span.parent_span_id = parent.valid() ? parent.parent_span_id : 0;
     span.span_id = next_span_id_++;
-    span.caller = caller_handle;
-    span.callee = callee_handle;
-    span.async = async;
+    span.caller = std::move(request.caller);
+    span.callee = request.callee;
+    span.async = request.async;
     span.timestamp = sim_->now();
   }
   request_path += config_.gateway_overhead;
 
-  // Response path: gateway -> network -> deserialize at the caller.
-  const SimDuration response_path =
-      config_.gateway_overhead + config_.network_rtt / 2 + config_.serialize_latency;
-  auto done_shared = std::make_shared<std::function<void(Result<Json>)>>(std::move(done));
-
   // Intern the callee once; every later lookup on this invocation's path is
   // an integer index (see DeploymentAt).
-  ctx->callee_id = InternHandle(callee_handle);
-  ctx->payload = payload;
-  ctx->async = async;
+  ctx->callee_id = InternHandle(request.callee);
+  ctx->payload = std::move(request.payload);
+  ctx->async = request.async;
   ctx->request_path = request_path;
+  // Response path: gateway -> network -> deserialize at the caller.
+  ctx->response_path =
+      config_.gateway_overhead + config_.network_rtt / 2 + config_.serialize_latency;
+  ctx->done = std::move(request.done);
   // Request-leg segment costs; every retry attempt pays them again.
   ctx->attempt_network = config_.serialize_latency + config_.network_rtt / 2;
   ctx->attempt_gateway = request_path - ctx->attempt_network;
-  // `respond` lives inside the context it closes over, so it must hold the
-  // context weakly: a strong capture would be a shared_ptr cycle that keeps
-  // every call's context (and, transitively, its caller's FunctionRun and
-  // container) alive forever. The scheduled response event takes the strong
-  // reference instead — the event queue owns the context until delivery.
-  std::weak_ptr<CallContext> weak_ctx = ctx;
-  ctx->respond = [this, response_path, done_shared, weak_ctx](Result<Json> result) {
-    std::shared_ptr<CallContext> ctx = weak_ctx.lock();
-    if (ctx == nullptr) {
-      return;  // Unreachable: respond is only ever invoked through the context.
-    }
-    if (ctx->traced) {
-      // Response leg: paid once, by whichever attempt settles the call.
-      ctx->span.network_ns += config_.network_rtt / 2 + config_.serialize_latency;
-      ctx->span.gateway_ns += config_.gateway_overhead;
-    }
-    sim_->Schedule(response_path, [this, done_shared, ctx,
-                                   result = std::move(result)]() mutable {
-      FinishSpan(*ctx, result.status());
-      (*done_shared)(std::move(result));
-    });
-  };
   BeginAttempt(std::move(ctx));
+}
+
+void Platform::Respond(const std::shared_ptr<CallContext>& ctx, Result<Json> result) {
+  if (ctx->traced) {
+    // Response leg: paid once, by whichever attempt settles the call.
+    ctx->span.network_ns += config_.network_rtt / 2 + config_.serialize_latency;
+    ctx->span.gateway_ns += config_.gateway_overhead;
+  }
+  sim_->Schedule(ctx->response_path, [this, ctx, result = std::move(result)]() mutable {
+    FinishSpan(*ctx, result.status());
+    ctx->done(std::move(result));
+  });
 }
 
 void Platform::FinishSpan(CallContext& ctx, const Status& status) {
@@ -693,33 +690,24 @@ void Platform::BeginAttempt(std::shared_ptr<CallContext> ctx) {
     ctx->span.network_ns += ctx->attempt_network;
     ctx->span.gateway_ns += ctx->attempt_gateway;
   }
-  // Guarantees the attempt settles exactly once: the first of {timeout,
-  // gateway rejection, execution result} wins, later arrivals are dropped.
-  auto settled = std::make_shared<bool>(false);
-  auto complete = [this, ctx, settled](Result<Json> result) {
-    if (*settled) {
-      return;
-    }
-    *settled = true;
-    OnAttemptResult(ctx, std::move(result));
-  };
-
+  const int attempt = ctx->attempt;
   if (config_.invocation_timeout > 0) {
-    sim_->Schedule(config_.invocation_timeout, [this, ctx, settled] {
-      if (*settled) {
-        return;
+    sim_->Schedule(config_.invocation_timeout, [this, ctx, attempt] {
+      if (attempt <= ctx->settled_attempt) {
+        return;  // Answered in time.
       }
-      *settled = true;
-      OnAttemptResult(ctx, DeadlineExceededError(
-                               StrCat("invocation of '", handles_.NameOf(ctx->callee_id),
-                                      "' timed out (attempt ", ctx->attempt, ")")));
+      SettleAttempt(ctx, attempt,
+                    DeadlineExceededError(StrCat("invocation of '",
+                                                 handles_.NameOf(ctx->callee_id),
+                                                 "' timed out (attempt ", attempt, ")")));
     });
   }
 
-  sim_->Schedule(ctx->request_path, [this, ctx, complete]() mutable {
+  sim_->Schedule(ctx->request_path, [this, ctx, attempt] {
     Deployment* found = DeploymentAt(ctx->callee_id);
     if (found == nullptr) {
-      complete(NotFoundError(StrCat("no function '", handles_.NameOf(ctx->callee_id), "'")));
+      SettleAttempt(ctx, attempt,
+                    NotFoundError(StrCat("no function '", handles_.NameOf(ctx->callee_id), "'")));
       return;
     }
     Deployment& dep = *found;
@@ -729,8 +717,9 @@ void Platform::BeginAttempt(std::shared_ptr<CallContext> ctx) {
       ++dep.stats.breaker_rejected;
       ++dep.stats.failures_by_cause["BREAKER_OPEN"];
       ctx->shed = true;
-      complete(UnavailableError(
-          StrCat("circuit breaker open for '", handles_.NameOf(ctx->callee_id), "'")));
+      SettleAttempt(ctx, attempt,
+                    UnavailableError(StrCat("circuit breaker open for '",
+                                            handles_.NameOf(ctx->callee_id), "'")));
       return;
     }
 
@@ -742,13 +731,13 @@ void Platform::BeginAttempt(std::shared_ptr<CallContext> ctx) {
         if (config_.invocation_timeout > 0) {
           return;  // The request vanishes; the attempt deadline answers.
         }
-        complete(UnavailableError("injected network drop (connection reset)"));
+        SettleAttempt(ctx, attempt, UnavailableError("injected network drop (connection reset)"));
         return;
       }
       if (fault.gateway_error) {
         ++dep.stats.injected_faults;
         ctx->gateway_fault = true;
-        complete(UnavailableError("injected gateway 5xx"));
+        SettleAttempt(ctx, attempt, UnavailableError("injected gateway 5xx"));
         return;
       }
       if (fault.extra_delay > 0) {
@@ -756,21 +745,31 @@ void Platform::BeginAttempt(std::shared_ptr<CallContext> ctx) {
         if (ctx->traced) {
           ctx->span.network_ns += fault.extra_delay;
         }
-        sim_->Schedule(fault.extra_delay, [this, ctx, complete = std::move(complete)]() mutable {
+        sim_->Schedule(fault.extra_delay, [this, ctx, attempt] {
           Deployment* delayed = DeploymentAt(ctx->callee_id);
           if (delayed == nullptr) {
-            complete(NotFoundError(
-                StrCat("no function '", handles_.NameOf(ctx->callee_id), "'")));
+            SettleAttempt(ctx, attempt,
+                          NotFoundError(StrCat("no function '",
+                                               handles_.NameOf(ctx->callee_id), "'")));
             return;
           }
-          RouteRequest(*delayed, ctx, std::move(complete));
+          RouteRequest(*delayed, ctx, attempt);
         });
         return;
       }
     }
 
-    RouteRequest(dep, ctx, std::move(complete));
+    RouteRequest(dep, ctx, attempt);
   });
+}
+
+void Platform::SettleAttempt(const std::shared_ptr<CallContext>& ctx, int attempt,
+                             Result<Json> result) {
+  if (attempt <= ctx->settled_attempt) {
+    return;  // A late answer for an attempt that already settled.
+  }
+  ctx->settled_attempt = attempt;
+  OnAttemptResult(ctx, std::move(result));
 }
 
 void Platform::OnAttemptResult(const std::shared_ptr<CallContext>& ctx, Result<Json> result) {
@@ -789,14 +788,14 @@ void Platform::OnAttemptResult(const std::shared_ptr<CallContext>& ctx, Result<J
     // Breaker rejections are load shedding, not attempt outcomes: they must
     // neither trip the breaker further nor trigger retries (retry storms are
     // exactly what the breaker interrupts).
-    ctx->respond(std::move(result));
+    Respond(ctx, std::move(result));
     return;
   }
   if (dep != nullptr) {
     RecordAttemptOutcome(*dep, result.ok() ? Status::Ok() : result.status());
   }
   if (result.ok()) {
-    ctx->respond(std::move(result));
+    Respond(ctx, std::move(result));
     return;
   }
 
@@ -807,7 +806,7 @@ void Platform::OnAttemptResult(const std::shared_ptr<CallContext>& ctx, Result<J
   const bool breaker_open =
       dep != nullptr && dep->breaker_state == BreakerState::kOpen;
   if (!config_.retry.enabled() || !transient || !retry_safe || breaker_open) {
-    ctx->respond(std::move(result));
+    Respond(ctx, std::move(result));
     return;
   }
   if (ctx->attempt >= config_.retry.max_attempts) {
@@ -815,7 +814,7 @@ void Platform::OnAttemptResult(const std::shared_ptr<CallContext>& ctx, Result<J
       ++dep->stats.retries_exhausted;
     }
     ctx->retries_exhausted = true;
-    ctx->respond(std::move(result));
+    Respond(ctx, std::move(result));
     return;
   }
 
@@ -855,8 +854,7 @@ bool Platform::BreakerRejects(Deployment& dep, CallContext& ctx) {
   if (dep.breaker_state == BreakerState::kHalfOpen) {
     // Probe storm guard: a burst arriving right at cooldown expiry must not
     // flood the recovering deployment before the first probe answers.
-    const int cap = std::max(1, config_.breaker.half_open_max_probes);
-    if (dep.half_open_inflight >= cap) {
+    if (dep.half_open_inflight >= config_.breaker.half_open_max_probes) {
       return true;
     }
     ++dep.half_open_inflight;
@@ -1028,8 +1026,7 @@ int64_t Platform::AssignVersion(Deployment& dep) {
   return dep.version;
 }
 
-void Platform::RouteRequest(Deployment& dep, std::shared_ptr<CallContext> ctx,
-                            std::function<void(Result<Json>)> respond) {
+void Platform::RouteRequest(Deployment& dep, std::shared_ptr<CallContext> ctx, int attempt) {
   // Router address-cache staleness penalty.
   SimDuration penalty = 0;
   if (dep.last_routed >= 0 && sim_->now() - dep.last_routed > config_.route_cache_ttl) {
@@ -1046,11 +1043,10 @@ void Platform::RouteRequest(Deployment& dep, std::shared_ptr<CallContext> ctx,
   }
 
   const HandleId id = dep.id;
-  sim_->Schedule(penalty, [this, id, ctx = std::move(ctx),
-                           respond = std::move(respond)]() mutable {
+  sim_->Schedule(penalty, [this, id, ctx = std::move(ctx), attempt]() mutable {
     Deployment* found = DeploymentAt(id);
     if (found == nullptr) {
-      respond(NotFoundError("function removed while routing"));
+      SettleAttempt(ctx, attempt, NotFoundError("function removed while routing"));
       return;
     }
     Deployment& dep = *found;
@@ -1068,12 +1064,12 @@ void Platform::RouteRequest(Deployment& dep, std::shared_ptr<CallContext> ctx,
     }
     std::shared_ptr<Container> container = SelectContainer(dep, ctx->version);
     if (container != nullptr) {
-      Dispatch(dep, container, ctx, sim_->now(), std::move(respond));
+      Dispatch(dep, container, ctx, sim_->now(), attempt);
       return;
     }
     // No capacity: scale out if allowed, otherwise queue.
     const int64_t version = ctx->version;
-    dep.pending.push_back(PendingRequest{std::move(ctx), sim_->now(), std::move(respond)});
+    dep.pending.push_back(PendingRequest{std::move(ctx), sim_->now(), attempt});
     dep.stats.pending_peak =
         std::max(dep.stats.pending_peak, static_cast<int64_t>(dep.pending.size()));
     if (dep.LiveReplicas(version) < dep.SpecFor(version).max_scale) {
@@ -1084,7 +1080,7 @@ void Platform::RouteRequest(Deployment& dep, std::shared_ptr<CallContext> ctx,
 
 void Platform::Dispatch(Deployment& dep, const std::shared_ptr<Container>& container,
                         const std::shared_ptr<CallContext>& ctx, SimTime enqueued_at,
-                        std::function<void(Result<Json>)> respond) {
+                        int attempt) {
   const HandleId id = dep.id;
   // Split the time since routing into cold-start wait (overlap with the
   // serving container's cold-start window) and plain queueing. Computed for
@@ -1128,10 +1124,10 @@ void Platform::Dispatch(Deployment& dep, const std::shared_ptr<Container>& conta
   const FaultInjector::DispatchFault injected =
       injector_.enabled() ? injector_.OnDispatch(dep.spec.handle, sim_->now())
                           : FaultInjector::DispatchFault{};
-  ExecuteRequest(env, dep.SpecFor(ctx->version).behavior, ctx->payload,
+  ExecuteRequest(std::move(env), dep.SpecFor(ctx->version).behavior, ctx->payload,
                  /*remote_entry=*/true,
-                 [this, id, container, ctx, dispatch_start = now, cold,
-                  respond = std::move(respond)](Result<Json> result) {
+                 [this, id, container, ctx, attempt, dispatch_start = now,
+                  cold](Result<Json> result) {
                    if (ctx->traced) {
                      ctx->span.exec_end = sim_->now();
                    }
@@ -1154,7 +1150,7 @@ void Platform::Dispatch(Deployment& dep, const std::shared_ptr<Container>& conta
                      RetireStaleContainers(dep);
                      DrainPending(dep);
                    }
-                   respond(std::move(result));
+                   SettleAttempt(ctx, attempt, std::move(result));
                  });
   if (injected.any()) {
     ++dep.stats.injected_faults;
@@ -1179,7 +1175,7 @@ void Platform::DrainPending(Deployment& dep) {
       still_waiting.push_back(std::move(request));
       continue;
     }
-    Dispatch(dep, container, request.ctx, request.enqueued_at, std::move(request.respond));
+    Dispatch(dep, container, request.ctx, request.enqueued_at, request.attempt);
   }
   dep.pending = std::move(still_waiting);
   dep.draining = false;

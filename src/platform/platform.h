@@ -137,9 +137,9 @@ struct PlatformConfig {
   PricingProfile pricing;
 
   // Typed validation of the knob surface: rejects a finite or elastic fleet
-  // with non-positive node geometry, out-of-range thresholds, negative
-  // autoscaler windows, and enabling both the static fleet and the autoscaler
-  // at once.
+  // with non-positive node geometry, out-of-range thresholds, retry and
+  // breaker values, negative autoscaler windows, and enabling both the static
+  // fleet and the autoscaler at once.
   // The Platform constructor calls this and surfaces the error from Deploy/
   // UpdateFunction/Invoke instead of silently misbehaving.
   Status Validate() const;
@@ -309,6 +309,10 @@ class Platform : public Invoker {
     Json payload;
     bool async = false;
     int attempt = 1;
+    // Attempts settle by number: the first of {timeout, gateway rejection,
+    // execution result} for attempt k settles it and later ones drop. Attempt
+    // k + 1 begins only after attempt k settled.
+    int settled_attempt = 0;
     bool shed = false;  // Current attempt was rejected by the circuit breaker.
     // Current attempt is one of the capped half-open probes; its settlement
     // must release the probe slot.
@@ -318,8 +322,9 @@ class Platform : public Invoker {
     // or the canary version; queued requests only drain onto containers of
     // their assigned version.
     int64_t version = 0;
-    SimDuration request_path = 0;  // Gateway-path latency each attempt pays.
-    std::function<void(Result<Json>)> respond;  // Schedules the response path.
+    SimDuration request_path = 0;   // Gateway-path latency each attempt pays.
+    SimDuration response_path = 0;  // Paid once, by the settling attempt.
+    std::function<void(Result<Json>)> done;  // The caller's continuation.
 
     // --- Tracing (only populated when the ingress path is active).
     bool traced = false;
@@ -331,10 +336,12 @@ class Platform : public Invoker {
     bool retries_exhausted = false;  // Failed after the retry policy's last attempt.
   };
 
+  // A queued attempt. An attempt that timed out while queued stays queued: it
+  // still dispatches, runs and is billed, and its answer is dropped.
   struct PendingRequest {
     std::shared_ptr<CallContext> ctx;
     SimTime enqueued_at = 0;
-    std::function<void(Result<Json>)> respond;
+    int attempt = 0;
   };
 
   enum class BreakerState { kClosed, kOpen, kHalfOpen };
@@ -430,11 +437,9 @@ class Platform : public Invoker {
   void FailNode(int node_id);
   // Weighted round-robin version assignment for one routing decision.
   int64_t AssignVersion(Deployment& dep);
-  void RouteRequest(Deployment& dep, std::shared_ptr<CallContext> ctx,
-                    std::function<void(Result<Json>)> respond);
+  void RouteRequest(Deployment& dep, std::shared_ptr<CallContext> ctx, int attempt);
   void Dispatch(Deployment& dep, const std::shared_ptr<Container>& container,
-                const std::shared_ptr<CallContext>& ctx, SimTime enqueued_at,
-                std::function<void(Result<Json>)> respond);
+                const std::shared_ptr<CallContext>& ctx, SimTime enqueued_at, int attempt);
   void DrainPending(Deployment& dep);
   // The one replica-removal path: frees the node capacity, drops the replica
   // from the deployment, kills it (its in-flight requests fail with `cause`)
@@ -451,7 +456,11 @@ class Platform : public Invoker {
 
   // Failure-handling path (timeout, retry, breaker, fault injection).
   void BeginAttempt(std::shared_ptr<CallContext> ctx);
+  // Settles attempt `attempt` with `result` unless it already settled.
+  void SettleAttempt(const std::shared_ptr<CallContext>& ctx, int attempt, Result<Json> result);
   void OnAttemptResult(const std::shared_ptr<CallContext>& ctx, Result<Json> result);
+  // Answers the caller: the response leg, then the span and `done`.
+  void Respond(const std::shared_ptr<CallContext>& ctx, Result<Json> result);
   // True when the deployment's breaker currently sheds this call. When the
   // call is admitted as a half-open probe, marks the context so settlement
   // releases the probe slot.

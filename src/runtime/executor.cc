@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
+#include <vector>
 
 #include "src/common/strings.h"
 
@@ -9,27 +11,27 @@ namespace quilt {
 
 namespace {
 
-// Per top-level-request state shared by every nested local execution:
-// consumed conditional-invocation budgets (§5.6).
-struct RequestBudgets {
-  std::map<std::string, int> used;
+// One inbound request: the state every function run it spans shares. The
+// environment, the deployed behavior (which keeps the running functions
+// alive), the payload and the consumed conditional-invocation budgets (§5.6).
+struct Request {
+  ExecutionEnv env;
+  DeployedBehavior behavior;
+  Json payload;
+  std::map<std::string, int> used_budgets;
 };
 
 class FunctionRun : public std::enable_shared_from_this<FunctionRun> {
  public:
-  FunctionRun(ExecutionEnv env, std::shared_ptr<const MergedBehavior> merged,
-              std::shared_ptr<const FunctionBehavior> single, const FunctionBehavior* behavior,
-              Json payload, bool remote_entry, bool top_level, double extra_base_mb,
-              std::shared_ptr<RequestBudgets> budgets, std::function<void(Result<Json>)> done)
-      : env_(std::move(env)),
-        merged_(std::move(merged)),
-        single_(std::move(single)),
+  FunctionRun(std::shared_ptr<Request> request, const FunctionBehavior* behavior,
+              bool remote_entry, bool top_level, double extra_base_mb,
+              std::function<void(Result<Json>)> done)
+      : request_(std::move(request)),
+        env_(request_->env),
         behavior_(behavior),
-        payload_(std::move(payload)),
         remote_entry_(remote_entry),
         top_level_(top_level),
         extra_base_mb_(extra_base_mb),
-        budgets_(std::move(budgets)),
         done_(std::move(done)) {}
 
   void Start() {
@@ -138,7 +140,7 @@ class FunctionRun : public std::enable_shared_from_this<FunctionRun> {
     } else if (const auto* call = std::get_if<CallStep>(&step)) {
       DoCallStep(*call, index + 1);
     } else if (const auto* crash = std::get_if<CrashStep>(&step)) {
-      if (!crash->only_on_poison || payload_.Get("poison").AsBool()) {
+      if (!crash->only_on_poison || request_->payload.Get("poison").AsBool()) {
         // The process dies: every function fused into it dies too.
         if (env_.trigger_kill) {
           env_.trigger_kill(KillReason::kCrash);
@@ -153,62 +155,64 @@ class FunctionRun : public std::enable_shared_from_this<FunctionRun> {
     if (!item.data_dependent) {
       return item.count;
     }
-    const int64_t num = payload_.Get("num").AsInt(item.count);
+    const int64_t num = request_->payload.Get("num").AsInt(item.count);
     return static_cast<int>(std::max<int64_t>(0, num));
   }
 
   void DoCallStep(const CallStep& step, size_t next_index) {
-    // Expand items into unit invocations.
-    auto units = std::make_shared<std::vector<std::string>>();
+    // Expand items into unit invocations. A run executes one step at a time,
+    // so the step's state lives on the run.
+    units_.clear();
     for (const CallItem& item : step.items) {
       const int count = ResolveCount(item);
       for (int i = 0; i < count; ++i) {
-        units->push_back(item.callee);
+        units_.push_back(&item.callee);
       }
     }
-    auto self = shared_from_this();
-    if (units->empty()) {
+    if (units_.empty()) {
       RunStep(next_index);
       return;
     }
-    if (step.parallel) {
-      auto outstanding = std::make_shared<int>(static_cast<int>(units->size()));
-      auto first_error = std::make_shared<Status>();
-      for (const std::string& callee : *units) {
-        DispatchUnit(callee, /*async=*/true,
-                     [self, outstanding, first_error, next_index](Result<Json> result) {
-                       if (!result.ok() && first_error->ok()) {
-                         *first_error = result.status();
-                       }
-                       if (--*outstanding == 0) {
-                         if (self->Dead()) {
-                           return;
-                         }
-                         if (!first_error->ok()) {
-                           self->Complete(*first_error);
-                         } else {
-                           self->RunStep(next_index);
-                         }
-                       }
-                     });
-      }
-    } else {
-      RunUnitsSequentially(units, 0, next_index);
+    if (!step.parallel) {
+      RunUnitsSequentially(0, next_index);
+      return;
+    }
+    auto self = shared_from_this();
+    const size_t count = units_.size();
+    outstanding_ = count;
+    first_error_ = Status::Ok();
+    // By index up to `count`: the last unit's answer may start the next step,
+    // which refills units_.
+    for (size_t i = 0; i < count; ++i) {
+      DispatchUnit(*units_[i], /*async=*/true, [self, next_index](Result<Json> result) {
+        if (!result.ok() && self->first_error_.ok()) {
+          self->first_error_ = result.status();
+        }
+        if (--self->outstanding_ == 0) {
+          if (self->Dead()) {
+            return;
+          }
+          if (!self->first_error_.ok()) {
+            self->Complete(self->first_error_);
+          } else {
+            self->RunStep(next_index);
+          }
+        }
+      });
     }
   }
 
-  void RunUnitsSequentially(std::shared_ptr<std::vector<std::string>> units, size_t unit_index,
-                            size_t next_index) {
+  void RunUnitsSequentially(size_t unit_index, size_t next_index) {
     if (Dead()) {
       return;
     }
-    if (unit_index >= units->size()) {
+    if (unit_index >= units_.size()) {
       RunStep(next_index);
       return;
     }
     auto self = shared_from_this();
-    DispatchUnit((*units)[unit_index], /*async=*/false,
-                 [self, units, unit_index, next_index](Result<Json> result) {
+    DispatchUnit(*units_[unit_index], /*async=*/false,
+                 [self, unit_index, next_index](Result<Json> result) {
                    if (self->Dead()) {
                      return;
                    }
@@ -216,7 +220,7 @@ class FunctionRun : public std::enable_shared_from_this<FunctionRun> {
                      self->Complete(result.status());
                      return;
                    }
-                   self->RunUnitsSequentially(units, unit_index + 1, next_index);
+                   self->RunUnitsSequentially(unit_index + 1, next_index);
                  });
   }
 
@@ -224,38 +228,33 @@ class FunctionRun : public std::enable_shared_from_this<FunctionRun> {
   // remote through the platform.
   void DispatchUnit(const std::string& callee, bool async,
                     std::function<void(Result<Json>)> cb) {
-    auto self = shared_from_this();
-    if (merged_ != nullptr && merged_->mode == MergedBehavior::Mode::kQuilt) {
+    const MergedBehavior* merged = request_->behavior.merged.get();
+    if (merged != nullptr && merged->mode == MergedBehavior::Mode::kQuilt) {
       const std::string key = MergedBehavior::EdgeKey(behavior_->handle, callee);
-      auto budget_it = merged_->edge_budgets.find(key);
-      if (budget_it != merged_->edge_budgets.end()) {
+      auto budget_it = merged->edge_budgets.find(key);
+      if (budget_it != merged->edge_budgets.end()) {
         const int budget = budget_it->second;
-        int& used = budgets_->used[key];
+        int& used = request_->used_budgets[key];
         if (budget == 0 || used < budget) {
           ++used;
           RunLocal(callee, std::move(cb));
           return;
         }
-        // Over the profiled budget: conditional invocation falls back to the
-        // remote path, first paying the deferred HTTP-stack load if this is
-        // the container's first remote call (DelayHTTP + Implib wrapping).
-        const SimDuration lazy =
-            env_.container->ConsumeLazyHttpLoad(env_.costs->lazy_lib_load_per_lib);
-        env_.sim->Schedule(lazy, [self, callee, async, cb = std::move(cb)]() mutable {
-          self->RunRemote(callee, async, std::move(cb));
-        });
-        return;
       }
-      // Not a localized edge: remote (cut edge in the merge solution).
+      // Over the profiled budget (conditional invocation), or not a localized
+      // edge (a cut edge in the merge solution): the remote path, first paying
+      // the deferred HTTP-stack load if this is the container's first remote
+      // call (DelayHTTP + Implib wrapping).
       const SimDuration lazy =
           env_.container->ConsumeLazyHttpLoad(env_.costs->lazy_lib_load_per_lib);
+      auto self = shared_from_this();
       env_.sim->Schedule(lazy, [self, callee, async, cb = std::move(cb)]() mutable {
         self->RunRemote(callee, async, std::move(cb));
       });
       return;
     }
-    if (merged_ != nullptr && merged_->mode == MergedBehavior::Mode::kContainerMerge &&
-        merged_->functions.count(callee) > 0) {
+    if (merged != nullptr && merged->mode == MergedBehavior::Mode::kContainerMerge &&
+        merged->functions.count(callee) > 0) {
       RunContainerMergeInternal(callee, std::move(cb));
       return;
     }
@@ -265,8 +264,9 @@ class FunctionRun : public std::enable_shared_from_this<FunctionRun> {
   // Quilt local call: nanoseconds of dispatch, callee runs inline in the
   // same process (no HTTP, no serialization).
   void RunLocal(const std::string& callee, std::function<void(Result<Json>)> cb) {
-    auto it = merged_->functions.find(callee);
-    if (it == merged_->functions.end()) {
+    const MergedBehavior& merged = *request_->behavior.merged;
+    auto it = merged.functions.find(callee);
+    if (it == merged.functions.end()) {
       cb(InternalError(StrCat("localized edge to unknown function '", callee, "'")));
       return;
     }
@@ -277,11 +277,9 @@ class FunctionRun : public std::enable_shared_from_this<FunctionRun> {
       if (self->Dead()) {
         return;
       }
-      auto run = std::make_shared<FunctionRun>(self->env_, self->merged_, nullptr,
-                                               callee_behavior, self->payload_,
+      auto run = std::make_shared<FunctionRun>(self->request_, callee_behavior,
                                                /*remote_entry=*/false, /*top_level=*/false,
-                                               /*extra_base_mb=*/0.0, self->budgets_,
-                                               std::move(cb));
+                                               /*extra_base_mb=*/0.0, std::move(cb));
       run->Start();
     });
   }
@@ -305,16 +303,15 @@ class FunctionRun : public std::enable_shared_from_this<FunctionRun> {
         if (self->Dead()) {
           return;
         }
-        auto it = self->merged_->functions.find(callee);
-        if (it == self->merged_->functions.end()) {
+        const MergedBehavior& merged = *self->request_->behavior.merged;
+        auto it = merged.functions.find(callee);
+        if (it == merged.functions.end()) {
           cb(InternalError("CM dispatch to unknown function"));
           return;
         }
         auto run = std::make_shared<FunctionRun>(
-            self->env_, self->merged_, nullptr, &it->second, self->payload_,
-            /*remote_entry=*/true, /*top_level=*/false,
-            /*extra_base_mb=*/self->env_.costs->cm_process_base_mb, self->budgets_,
-            std::move(cb));
+            self->request_, &it->second, /*remote_entry=*/true, /*top_level=*/false,
+            /*extra_base_mb=*/self->env_.costs->cm_process_base_mb, std::move(cb));
         run->Start();
       });
     });
@@ -336,50 +333,49 @@ class FunctionRun : public std::enable_shared_from_this<FunctionRun> {
           self->env_.remote->Invoke({.caller = self->behavior_->handle,
                                      .callee = callee,
                                      .parent = self->env_.trace,
-                                     .payload = self->payload_,
+                                     .payload = self->request_->payload,
                                      .async = async,
                                      .done = std::move(cb)});
         });
   }
 
-  ExecutionEnv env_;
-  std::shared_ptr<const MergedBehavior> merged_;
-  std::shared_ptr<const FunctionBehavior> single_;  // Keep-alive for baseline runs.
+  std::shared_ptr<Request> request_;
+  const ExecutionEnv& env_;  // request_->env, alive as long as request_.
   const FunctionBehavior* behavior_;
-  Json payload_;
   bool remote_entry_;
   bool top_level_;
   double extra_base_mb_;
-  std::shared_ptr<RequestBudgets> budgets_;
   std::function<void(Result<Json>)> done_;
 
   bool finished_ = false;
   double allocated_mb_ = 0.0;
   int64_t request_token_ = 0;
+
+  // The current call step: its units (callees named by the behavior's
+  // CallItems), and for a parallel step the answers still outstanding and
+  // the first error among them.
+  std::vector<const std::string*> units_;
+  size_t outstanding_ = 0;
+  Status first_error_;
 };
 
 }  // namespace
 
-void ExecuteRequest(const ExecutionEnv& env, const DeployedBehavior& behavior, Json payload,
+void ExecuteRequest(ExecutionEnv env, const DeployedBehavior& behavior, Json payload,
                     bool remote_entry, std::function<void(Result<Json>)> done) {
   assert(behavior.valid());
-  auto budgets = std::make_shared<RequestBudgets>();
-  if (behavior.single != nullptr) {
-    auto run = std::make_shared<FunctionRun>(env, nullptr, behavior.single,
-                                             behavior.single.get(), std::move(payload),
-                                             remote_entry, /*top_level=*/true,
-                                             /*extra_base_mb=*/0.0, budgets, std::move(done));
-    run->Start();
-    return;
+  const FunctionBehavior* entry = behavior.single.get();
+  if (entry == nullptr) {
+    auto it = behavior.merged->functions.find(behavior.merged->root_handle);
+    if (it == behavior.merged->functions.end()) {
+      done(InternalError("merged behavior missing its root function"));
+      return;
+    }
+    entry = &it->second;
   }
-  auto it = behavior.merged->functions.find(behavior.merged->root_handle);
-  if (it == behavior.merged->functions.end()) {
-    done(InternalError("merged behavior missing its root function"));
-    return;
-  }
-  auto run = std::make_shared<FunctionRun>(env, behavior.merged, nullptr, &it->second,
-                                           std::move(payload), remote_entry,
-                                           /*top_level=*/true, /*extra_base_mb=*/0.0, budgets,
+  auto request = std::make_shared<Request>(std::move(env), behavior, std::move(payload));
+  auto run = std::make_shared<FunctionRun>(std::move(request), entry, remote_entry,
+                                           /*top_level=*/true, /*extra_base_mb=*/0.0,
                                            std::move(done));
   run->Start();
 }

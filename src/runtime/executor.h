@@ -94,7 +94,7 @@ struct ExecutionEnv {
 // is called exactly once -- with the response, or with an error if the
 // request failed (OOM kill, callee failure). remote_entry should be true
 // for requests that arrived over the platform (they pay handler-side CPU).
-void ExecuteRequest(const ExecutionEnv& env, const DeployedBehavior& behavior, Json payload,
+void ExecuteRequest(ExecutionEnv env, const DeployedBehavior& behavior, Json payload,
                     bool remote_entry, std::function<void(Result<Json>)> done);
 
 }  // namespace quilt

@@ -166,20 +166,31 @@ TEST(AutopilotTest, OomStormRollsBackAutomatically) {
 }
 
 TEST(AutopilotTest, RecordsDeterministicAcrossDecisionThreads) {
-  auto run = [](int threads) {
-    Harness h(FanOutOptions(threads));
+  // GRASP is forced: the exact solver the fan-out graph would get runs on
+  // one thread whatever the width. `decision` receives the last record.
+  auto run = [](int threads, DecisionRecord* decision = nullptr) {
+    ControllerOptions options = FanOutOptions(threads);
+    options.decision.solver = SolverChoice::kGrasp;
+    Harness h(options);
     EXPECT_TRUE(h.controller.RegisterWorkflow(FanOutApp(4)).ok());
     EXPECT_TRUE(h.pilot.Enroll(kRoot).ok());
     h.pilot.Start();
     h.DriveLoad(Seconds(25));
     h.pilot.Stop();
+    if (decision != nullptr && !h.controller.metrics().decisions().empty()) {
+      *decision = h.controller.metrics().decisions().back();
+    }
     return h.Serialized();
   };
   const std::string reference = run(1);
   EXPECT_FALSE(reference.empty());
   EXPECT_EQ(run(1), reference);  // Repeatable at the same width.
   EXPECT_EQ(run(2), reference);
-  EXPECT_EQ(run(8), reference);
+  DecisionRecord decision;
+  EXPECT_EQ(run(8, &decision), reference);
+  // The widest run really ran GRASP's starts on several threads.
+  EXPECT_EQ(decision.solver, "grasp");
+  EXPECT_GT(decision.threads, 1);
 }
 
 // --- Controller edge cases around the canary plumbing.

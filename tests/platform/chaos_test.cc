@@ -3,6 +3,12 @@
 // a container crash under merged vs. per-function deployment, circuit
 // breaker shed/recover cycles, and bit-identical reproducibility of a
 // faulty run under a fixed seed.
+#include <functional>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/platform/platform.h"
@@ -473,6 +479,8 @@ struct ChaosRun {
   LoadResult result;
   FaultStats faults;
   DeploymentStats stats;
+  int64_t billed_nanos = 0;
+  int64_t billed_attempts = 0;
 };
 
 ChaosRun RunSeededChaos() {
@@ -514,6 +522,8 @@ ChaosRun RunSeededChaos() {
   run.result = generator.Run(&sim, &platform, "chaos-fn", options);
   run.faults = platform.fault_stats();
   run.stats = *platform.StatsFor("chaos-fn");
+  run.billed_nanos = platform.cost_meter().TotalNanos();
+  run.billed_attempts = platform.cost_meter().TotalAttempts();
   return run;
 }
 
@@ -549,6 +559,74 @@ TEST(ChaosTest, SamePlanAndSeedIsBitIdentical) {
   EXPECT_EQ(a.stats.injected_faults, b.stats.injected_faults);
   EXPECT_EQ(a.stats.crashes, b.stats.crashes);
   EXPECT_EQ(a.stats.failures_by_cause, b.stats.failures_by_cause);
+}
+
+// The same run pinned as literals. The self-comparison above cannot see a
+// change that moves both runs alike; these values cover the timeout, retry,
+// breaker, injected-fault and scheduled-crash paths as the client, the
+// deployment and the bill see them.
+TEST(ChaosTest, SeededChaosMatchesPinnedValues) {
+  const ChaosRun run = RunSeededChaos();
+
+  // Client view: retries absorb every injected fault.
+  EXPECT_EQ(run.result.completed, 1005);
+  EXPECT_EQ(run.result.failed, 0);
+  EXPECT_EQ(run.result.timeouts, 0);
+  EXPECT_TRUE(run.result.failures_by_cause.empty());
+  EXPECT_EQ(run.result.latency.count(), 1005);
+  EXPECT_EQ(run.result.latency.min(), 6270002);
+  EXPECT_EQ(run.result.latency.max(), 418260998);
+  EXPECT_EQ(run.result.latency.Median(), 6275072);
+  EXPECT_EQ(run.result.latency.P99(), 20643840);
+
+  EXPECT_EQ(run.faults.network_drops, 8);
+  EXPECT_EQ(run.faults.network_delays, 58);
+  EXPECT_EQ(run.faults.gateway_errors, 22);
+  EXPECT_EQ(run.faults.container_crashes, 1);
+
+  // Deployment view: the 8 drops surface as attempt deadlines.
+  EXPECT_EQ(run.stats.completed, 1102);
+  EXPECT_EQ(run.stats.failed, 0);
+  EXPECT_EQ(run.stats.timeouts, 8);
+  EXPECT_EQ(run.stats.retries, 30);
+  EXPECT_EQ(run.stats.retries_exhausted, 0);
+  EXPECT_EQ(run.stats.injected_faults, 87);
+  EXPECT_EQ(run.stats.crashes, 1);
+  EXPECT_EQ(run.stats.breaker_opens, 0);
+  EXPECT_EQ(run.stats.breaker_rejected, 0);
+  EXPECT_EQ(run.stats.failures_by_cause,
+            (std::map<std::string, int64_t>{{"DEADLINE_EXCEEDED", 8}, {"UNAVAILABLE", 22}}));
+
+  EXPECT_EQ(run.billed_nanos, 224808);
+  EXPECT_EQ(run.billed_attempts, 1102);
+}
+
+// --- Out-of-range retry and breaker values fail validation instead of
+// being clamped: one row per rejected value.
+
+TEST(ChaosTest, ConfigValidateRejectsOutOfRangeRetryAndBreaker) {
+  const std::vector<std::pair<std::string, std::function<void(PlatformConfig&)>>> rows = {
+      {"breaker.failure_threshold = 0",
+       [](PlatformConfig& c) { c.breaker.failure_threshold = 0; }},
+      {"breaker.half_open_max_probes = 0",
+       [](PlatformConfig& c) { c.breaker.half_open_max_probes = 0; }},
+      {"breaker.open_duration < 0", [](PlatformConfig& c) { c.breaker.open_duration = -1; }},
+      {"retry.initial_backoff < 0", [](PlatformConfig& c) { c.retry.initial_backoff = -1; }},
+      {"retry.max_backoff < 0", [](PlatformConfig& c) { c.retry.max_backoff = -1; }},
+      {"retry.backoff_multiplier = 0",
+       [](PlatformConfig& c) { c.retry.backoff_multiplier = 0.0; }},
+  };
+  for (const auto& [name, mutate] : rows) {
+    PlatformConfig config;
+    mutate(config);
+    EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument) << name;
+  }
+  // The zero boundaries stay valid.
+  PlatformConfig zero;
+  zero.breaker.open_duration = 0;
+  zero.retry.initial_backoff = 0;
+  zero.retry.max_backoff = 0;
+  EXPECT_TRUE(zero.Validate().ok());
 }
 
 // --- Zero-cost-when-off: with every failure-handling knob at its default,

@@ -306,11 +306,14 @@ TEST(NodePlatformTest, LiveRunIsByteIdenticalAcrossRepeats) {
 }
 
 // Node samples flowing through the controller's metrics pipeline must not
-// depend on how many threads the decision engine uses.
+// depend on how many threads the decision engine uses. GRASP is forced: the
+// exact solver the fan-out graph would get runs on one thread whatever the
+// width. `decision` receives the last record.
 TEST(NodePlatformTest, NodeSamplesDeterministicAcrossDecisionThreads) {
-  auto run = [](int threads) {
+  auto run = [](int threads, DecisionRecord* decision = nullptr) {
     ControllerOptions options;
     options.container_memory_limit_mb = 256.0;
+    options.decision.solver = SolverChoice::kGrasp;
     options.decision.grasp_threads = threads;
     PlatformConfig config;
     config.max_nodes = 6;
@@ -334,6 +337,9 @@ TEST(NodePlatformTest, NodeSamplesDeterministicAcrossDecisionThreads) {
     generator.Run(&sim, &platform, "fan-out-root", load);
     controller.StopProfiling();
     EXPECT_TRUE(controller.OptimizeWorkflow("fan-out-root").ok());
+    if (decision != nullptr && !controller.metrics().decisions().empty()) {
+      *decision = controller.metrics().decisions().back();
+    }
 
     std::string out;
     for (const NodeSample& sample : controller.metrics_store()->node_samples()) {
@@ -345,7 +351,11 @@ TEST(NodePlatformTest, NodeSamplesDeterministicAcrossDecisionThreads) {
   const std::string reference = run(1);
   EXPECT_FALSE(reference.empty());
   EXPECT_EQ(run(2), reference);
-  EXPECT_EQ(run(8), reference);
+  DecisionRecord decision;
+  EXPECT_EQ(run(8, &decision), reference);
+  // The widest run really ran GRASP's starts on several threads.
+  EXPECT_EQ(decision.solver, "grasp");
+  EXPECT_GT(decision.threads, 1);
 }
 
 // --- Regression oracle: with max_nodes unset the platform must reproduce

@@ -182,5 +182,55 @@ TEST_P(QueuedRequestTest, EveryInvokeIsAnsweredExactlyOnce) {
 INSTANTIATE_TEST_SUITE_P(Rows, QueuedRequestTest, testing::ValuesIn(Rows()),
                          [](const testing::TestParamInfo<Row>& info) { return info.param.name; });
 
+// A queued attempt that times out and is retried stays queued: it still
+// dispatches, runs and is billed, and its late answer is dropped. One
+// replica serves 200 ms requests one at a time, so with a 250 ms deadline
+// every attempt times out; each invoke is answered exactly once, with the
+// second attempt's DEADLINE_EXCEEDED.
+TEST(QueuedRetryTest, TimedOutQueuedAttemptRunsIsBilledAndAnswersOnce) {
+  PlatformConfig config;
+  config.invocation_timeout = Milliseconds(250);
+  config.retry.max_attempts = 2;
+  Simulation sim;
+  Platform platform(&sim, config);
+  DeploymentSpec spec = SlowFunction(1);
+  spec.idempotent = true;
+  ASSERT_TRUE(platform.Deploy(std::move(spec)).ok());
+
+  constexpr int kInvokes = 3;
+  std::vector<int> answers(kInvokes, 0);
+  std::vector<StatusCode> codes(kInvokes, StatusCode::kOk);
+  std::vector<SimTime> answered_at(kInvokes, 0);
+  for (int i = 0; i < kInvokes; ++i) {
+    platform.Invoke({.caller = kClientCaller,
+                     .callee = kFn,
+                     .parent = {},
+                     .payload = Json::MakeObject(),
+                     .async = false,
+                     .done = [&, i](Result<Json> result) {
+                       const auto at = static_cast<size_t>(i);
+                       ++answers[at];
+                       codes[at] = result.status().code();
+                       answered_at[at] = sim.now();
+                     }});
+  }
+  sim.Run();
+
+  EXPECT_EQ(answers, (std::vector<int>{1, 1, 1}));
+  EXPECT_EQ(codes, std::vector<StatusCode>(kInvokes, StatusCode::kDeadlineExceeded));
+  EXPECT_EQ(answered_at, (std::vector<SimTime>{514497917, 512903428, 514267791}));
+
+  const DeploymentStats* stats = platform.StatsFor(kFn);
+  ASSERT_NE(stats, nullptr);
+  // All six attempts ran to completion, stale ones included, and were billed.
+  EXPECT_EQ(stats->completed, 6);
+  EXPECT_EQ(stats->failed, 0);
+  EXPECT_EQ(stats->timeouts, 6);
+  EXPECT_EQ(stats->retries, 3);
+  EXPECT_EQ(stats->retries_exhausted, 3);
+  EXPECT_EQ(stats->pending_peak, 5);
+  EXPECT_EQ(platform.cost_meter().TotalAttempts(), 6);
+}
+
 }  // namespace
 }  // namespace quilt
