@@ -2,13 +2,14 @@
 //
 // Random rDAGs (|E| = 1.2|V|, 10% async edges, random CPU/memory, limits
 // sized so at least two containers are needed); three algorithms:
-//   - optimal (exhaustive k-sweep over candidate root sets, Phase-2 ILP),
+//   - optimal (k-sweep over candidate root sets, Phase-2 ILP, stopped at the
+//     R = V optimum),
 //   - simple heuristic (weighted in-degree candidate pool),
 //   - Downstream Impact heuristic.
 // Medians with p5/p95 over repeated trials. The optimal solver is only run
-// on small graphs (its candidate-set count is 2^(|V|-1)); for graphs beyond
-// the heuristic pool regime the GRASP large-graph procedure (Appendix C.4)
-// carries the DIH column, as in the paper.
+// on small graphs (its worst-case candidate-set count is 2^(|V|-1)); for
+// graphs beyond the heuristic pool regime the GRASP large-graph procedure
+// (Appendix C.4) carries the DIH column, as in the paper.
 #include <algorithm>
 #include <chrono>
 

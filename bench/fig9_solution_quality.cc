@@ -8,7 +8,12 @@
 // 9b -- number of non-local calls under each heuristic on larger graphs
 // (where the optimum is unobtainable): DIH should yield many times fewer
 // remote invocations than weighted in-degree.
+//
+//   --smoke   9a in full, 9b without its 100- and 200-node rows (CI). Those
+//             rows come last, so every row that runs draws the same graphs.
 #include <algorithm>
+#include <cstring>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/graph/random_dag.h"
@@ -58,9 +63,16 @@ struct Stats {
 }  // namespace bench
 }  // namespace quilt
 
-int main() {
+int main(int argc, char** argv) {
   using namespace quilt;
   using namespace quilt::bench;
+
+  bool smoke = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      smoke = true;
+    }
+  }
 
   // ---- Figure 9a: optimality gap on small graphs. ----
   PrintHeader("Figure 9a: optimality gap vs graph size (mean +/- stdev; lower is better)");
@@ -104,7 +116,9 @@ int main() {
   PrintHeader("Figure 9b: remote (non-local) calls per profile window, larger graphs");
   std::printf("%6s %7s | %14s %14s %14s | %8s\n", "nodes", "trials", "baseline",
               "in-degree", "dih", "ratio");
-  for (int n : {25, 50, 100, 200}) {
+  const std::vector<int> large_sizes =
+      smoke ? std::vector<int>{25, 50} : std::vector<int>{25, 50, 100, 200};
+  for (int n : large_sizes) {
     const int trials = 6;
     Stats indeg_cost;
     Stats dih_cost;

@@ -4,10 +4,9 @@
 
 namespace quilt {
 
-int IlpModel::AddBinaryVar(std::string name, int branch_priority, int preferred_value) {
+int IlpModel::AddBinaryVar(int branch_priority, int preferred_value) {
   assert(preferred_value == 0 || preferred_value == 1);
   const int var = num_vars();
-  names_.push_back(std::move(name));
   priorities_.push_back(branch_priority);
   preferred_.push_back(preferred_value);
   objective_.push_back(0.0);

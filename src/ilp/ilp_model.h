@@ -7,7 +7,6 @@
 #define SRC_ILP_ILP_MODEL_H_
 
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace quilt {
@@ -30,10 +29,9 @@ class IlpModel {
   // Adds a binary decision variable. branch_priority: higher values are
   // branched on first (lets encoders steer the search toward the true
   // decision variables). preferred_value: the branch tried first (0 or 1).
-  int AddBinaryVar(std::string name, int branch_priority = 0, int preferred_value = 0);
+  int AddBinaryVar(int branch_priority = 0, int preferred_value = 0);
 
-  int num_vars() const { return static_cast<int>(names_.size()); }
-  const std::string& var_name(int var) const { return names_[var]; }
+  int num_vars() const { return static_cast<int>(priorities_.size()); }
   int branch_priority(int var) const { return priorities_[var]; }
   int preferred_value(int var) const { return preferred_[var]; }
 
@@ -62,7 +60,6 @@ class IlpModel {
   const IlpConstraint& constraint(int index) const { return constraints_[index]; }
 
  private:
-  std::vector<std::string> names_;
   std::vector<int> priorities_;
   std::vector<int> preferred_;
   std::vector<double> objective_;

@@ -6,8 +6,6 @@
 #include <deque>
 #include <map>
 
-#include "src/common/strings.h"
-
 namespace quilt {
 
 AssignmentIlp BuildAssignmentIlp(const MergeProblem& problem,
@@ -47,9 +45,7 @@ AssignmentIlp BuildAssignmentIlp(const MergeProblem& problem,
   out.objective_offset = cost_active ? cost.Offset() : 0.0;
   out.x_var.resize(num_edges);
   for (EdgeId e = 0; e < num_edges; ++e) {
-    out.x_var[e] = model.AddBinaryVar(
-        StrCat("x_", graph.edge(e).from, "_", graph.edge(e).to), /*branch_priority=*/0,
-        /*preferred_value=*/0);
+    out.x_var[e] = model.AddBinaryVar(/*branch_priority=*/0, /*preferred_value=*/0);
     model.SetObjectiveCoef(out.x_var[e],
                            cost_active
                                ? cost.EdgeCoef(graph.edge(e).weight, cost.cut_cost[e],
@@ -60,16 +56,14 @@ AssignmentIlp BuildAssignmentIlp(const MergeProblem& problem,
   for (NodeId i = 0; i < n; ++i) {
     for (int r = 0; r < k; ++r) {
       const int priority = is_root[i] ? 2 : 1;
-      out.y_var[i][r] = model.AddBinaryVar(StrCat("y_", i, "_r", roots[r]), priority,
-                                           /*preferred_value=*/1);
+      out.y_var[i][r] = model.AddBinaryVar(priority, /*preferred_value=*/1);
     }
   }
   // z_{e,r}: edge e internal to subgraph r (linearization of y_i·y_j).
   std::vector<std::vector<int>> z_var(num_edges, std::vector<int>(k, -1));
   for (EdgeId e = 0; e < num_edges; ++e) {
     for (int r = 0; r < k; ++r) {
-      z_var[e][r] = model.AddBinaryVar(StrCat("z_", e, "_r", roots[r]), /*branch_priority=*/-1,
-                                       /*preferred_value=*/0);
+      z_var[e][r] = model.AddBinaryVar(/*branch_priority=*/-1, /*preferred_value=*/0);
     }
   }
 
@@ -285,8 +279,7 @@ Result<MergeSolution> SolveForRootsCompact(const MergeProblem& problem,
   std::vector<std::vector<int>> a(k, std::vector<int>(k));
   for (int s = 0; s < k; ++s) {
     for (int r = 0; r < k; ++r) {
-      a[s][r] = model.AddBinaryVar(StrCat("a_", s, "_", r), /*branch_priority=*/2,
-                                   /*preferred_value=*/s == r ? 1 : 0);
+      a[s][r] = model.AddBinaryVar(/*branch_priority=*/2, /*preferred_value=*/s == r ? 1 : 0);
     }
     model.FixVar(a[s][s], 1);
   }
@@ -303,7 +296,7 @@ Result<MergeSolution> SolveForRootsCompact(const MergeProblem& problem,
   std::map<EdgeId, int> x;
   for (EdgeId eid = 0; eid < graph.num_edges(); ++eid) {
     if (root_index[graph.edge(eid).to] != -1) {
-      x[eid] = model.AddBinaryVar(StrCat("x_", eid), 0, 0);
+      x[eid] = model.AddBinaryVar(/*branch_priority=*/0, /*preferred_value=*/0);
       model.SetObjectiveCoef(
           x[eid], cost_active
                       ? std::max(0.0, cost.EdgeCoef(graph.edge(eid).weight, cost.cut_cost[eid],

@@ -77,7 +77,9 @@ struct SolverStats {
   int64_t ilp_cache_hits = 0;   // ... of which the IlpSolveCache answered.
   int64_t candidate_sets_tried = 0;
   int64_t feasible_sets = 0;
-  bool exhaustive = true;   // False when a limit/deadline stopped a sweep early.
+  // False when a limit or deadline stopped a sweep early. A sweep that stops
+  // at a proven optimum (OptimalSolver) stays exhaustive.
+  bool exhaustive = true;
   bool hit_deadline = false;
 
   // GRASP specifics (zero for the other solvers).
@@ -112,7 +114,9 @@ uint64_t FingerprintProblem(const MergeProblem& problem);
 // function of (fingerprint, roots, mip_gap, max_nodes), and the cutoff is
 // applied to the memoized result afterwards — which keeps parallel GRASP
 // starts bit-deterministic regardless of which start populates the cache
-// first. Increments stats->ilp_solves (and ilp_cache_hits on a hit).
+// first. A fresh solve that ends past ilp_options.deadline is returned but
+// not memoized, since it may have stopped early. Increments
+// stats->ilp_solves (and ilp_cache_hits on a hit).
 Result<MergeSolution> SolveForRootsCached(const MergeProblem& problem,
                                           uint64_t fingerprint,
                                           const std::vector<NodeId>& roots,

@@ -1,6 +1,7 @@
 #include "src/partition/optimal_solver.h"
 
-#include <algorithm>
+#include <limits>
+#include <numeric>
 #include <optional>
 
 #include "src/partition/combinations.h"
@@ -32,6 +33,28 @@ Result<MergeSolution> OptimalSolver::Solve(const MergeProblem& problem,
   SolverStats& st = stats != nullptr ? *stats : local_stats;
   st = SolverStats{};
 
+  IlpSolveOptions ilp_options;
+  ilp_options.mip_gap = options.mip_gap;
+  ilp_options.max_nodes = options.max_nodes_per_ilp;
+  ilp_options.deadline = options.deadline;
+
+  // The sweep's last candidate set, R = V, solved first: every plan for a
+  // root set is also an R = V plan with the same cross edges (DESIGN.md
+  // §4.7), so its cost is the sweep's optimum and the sweep stops at the
+  // first set that reaches it. Only an exact, unlimited solve of the
+  // Appendix-B encoding proves that; otherwise the sweep runs to the end.
+  double proven_optimum = -std::numeric_limits<double>::infinity();
+  if (options.mip_gap <= 0.0 && options.max_nodes_per_ilp == 0 && !options.has_deadline() &&
+      n <= kCompactEncodingThreshold) {
+    std::vector<NodeId> all_nodes(n);
+    std::iota(all_nodes.begin(), all_nodes.end(), 0);
+    Result<MergeSolution> all_roots =
+        SolveForRootsCached(problem, fingerprint, all_nodes, ilp_options, options.cache, &st);
+    if (all_roots.ok()) {
+      proven_optimum = all_roots->cross_cost;
+    }
+  }
+
   std::optional<MergeSolution> best;
   for (int k = 1; k <= n; ++k) {
     const bool completed = ForEachCombination(
@@ -53,10 +76,6 @@ Result<MergeSolution> OptimalSolver::Solve(const MergeProblem& problem,
             roots.push_back(others[index]);
           }
 
-          IlpSolveOptions ilp_options;
-          ilp_options.mip_gap = options.mip_gap;
-          ilp_options.max_nodes = options.max_nodes_per_ilp;
-          ilp_options.deadline = options.deadline;
           if (best.has_value()) {
             ilp_options.cutoff = best->cross_cost;  // Strict improvement only.
           }
@@ -71,14 +90,14 @@ Result<MergeSolution> OptimalSolver::Solve(const MergeProblem& problem,
             if (!cost_active && best->cross_cost <= 0.0) {
               return false;  // Cannot improve on zero cross cost.
             }
+            if (best->cross_cost <= proven_optimum) {
+              return false;  // No later set can strictly improve on it.
+            }
           }
           return true;
         });
-    if (!completed && !cost_active && best.has_value() && best->cross_cost <= 0.0) {
-      break;  // Early exit on perfect solution.
-    }
-    if (!completed && !st.exhaustive) {
-      break;  // Candidate-set budget or deadline exhausted.
+    if (!completed) {
+      break;  // Optimum reached, or candidate-set budget or deadline exhausted.
     }
   }
 

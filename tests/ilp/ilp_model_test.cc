@@ -11,10 +11,9 @@ namespace {
 
 TEST(IlpModelTest, VariableAccessors) {
   IlpModel model;
-  const int a = model.AddBinaryVar("alpha", /*branch_priority=*/3, /*preferred_value=*/1);
-  const int b = model.AddBinaryVar("beta");
+  const int a = model.AddBinaryVar(/*branch_priority=*/3, /*preferred_value=*/1);
+  const int b = model.AddBinaryVar();
   EXPECT_EQ(model.num_vars(), 2);
-  EXPECT_EQ(model.var_name(a), "alpha");
   EXPECT_EQ(model.branch_priority(a), 3);
   EXPECT_EQ(model.preferred_value(a), 1);
   EXPECT_EQ(model.branch_priority(b), 0);
@@ -23,7 +22,7 @@ TEST(IlpModelTest, VariableAccessors) {
 
 TEST(IlpModelTest, ObjectiveDefaultsToZero) {
   IlpModel model;
-  const int a = model.AddBinaryVar("a");
+  const int a = model.AddBinaryVar();
   EXPECT_EQ(model.objective_coef(a), 0.0);
   model.SetObjectiveCoef(a, 2.5);
   EXPECT_EQ(model.objective_coef(a), 2.5);
@@ -31,8 +30,8 @@ TEST(IlpModelTest, ObjectiveDefaultsToZero) {
 
 TEST(IlpModelTest, ConstraintStorage) {
   IlpModel model;
-  const int a = model.AddBinaryVar("a");
-  const int b = model.AddBinaryVar("b");
+  const int a = model.AddBinaryVar();
+  const int b = model.AddBinaryVar();
   const int c1 = model.AddLessEqual({{a, 1.0}, {b, 2.0}}, 2.0);
   const int c2 = model.AddGreaterEqual({{a, 1.0}}, 1.0);
   const int c3 = model.AddEquality({{b, 1.0}}, 0.0);
@@ -47,8 +46,8 @@ TEST(IlpModelTest, PreferredValueSteersTies) {
   // Two symmetric zero-cost variables; with preferred value 1 on a high
   // priority var, the first full assignment found keeps it at 1.
   IlpModel model;
-  const int a = model.AddBinaryVar("a", /*branch_priority=*/5, /*preferred_value=*/1);
-  const int b = model.AddBinaryVar("b", /*branch_priority=*/0, /*preferred_value=*/0);
+  const int a = model.AddBinaryVar(/*branch_priority=*/5, /*preferred_value=*/1);
+  const int b = model.AddBinaryVar(/*branch_priority=*/0, /*preferred_value=*/0);
   IlpSolver solver;
   const IlpSolution solution = solver.Solve(model);
   ASSERT_EQ(solution.status, IlpStatus::kOptimal);
@@ -61,8 +60,8 @@ TEST(IlpModelTest, BranchPriorityOrdersSearch) {
   // but node counts differ. We just check both orders find the optimum.
   for (int priority : {-2, 0, 7}) {
     IlpModel model;
-    const int a = model.AddBinaryVar("a", priority, 0);
-    const int b = model.AddBinaryVar("b", 0, 0);
+    const int a = model.AddBinaryVar(priority, 0);
+    const int b = model.AddBinaryVar(0, 0);
     model.SetObjectiveCoef(b, 4.0);
     model.AddGreaterEqual({{a, 1.0}, {b, 1.0}}, 1.0);
     IlpSolver solver;
@@ -75,7 +74,7 @@ TEST(IlpModelTest, BranchPriorityOrdersSearch) {
 
 TEST(IlpModelTest, FixVarContradictionIsInfeasible) {
   IlpModel model;
-  const int a = model.AddBinaryVar("a");
+  const int a = model.AddBinaryVar();
   model.FixVar(a, 1);
   model.FixVar(a, 0);
   IlpSolver solver;

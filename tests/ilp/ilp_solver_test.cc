@@ -10,8 +10,8 @@ namespace {
 
 TEST(IlpSolverTest, TrivialUnconstrainedMinimum) {
   IlpModel model;
-  const int a = model.AddBinaryVar("a");
-  const int b = model.AddBinaryVar("b");
+  const int a = model.AddBinaryVar();
+  const int b = model.AddBinaryVar();
   model.SetObjectiveCoef(a, 3.0);
   model.SetObjectiveCoef(b, 5.0);
   IlpSolver solver;
@@ -25,8 +25,8 @@ TEST(IlpSolverTest, TrivialUnconstrainedMinimum) {
 TEST(IlpSolverTest, ForcedSelection) {
   // Minimize 3a + 5b subject to a + b >= 1.
   IlpModel model;
-  const int a = model.AddBinaryVar("a");
-  const int b = model.AddBinaryVar("b");
+  const int a = model.AddBinaryVar();
+  const int b = model.AddBinaryVar();
   model.SetObjectiveCoef(a, 3.0);
   model.SetObjectiveCoef(b, 5.0);
   model.AddGreaterEqual({{a, 1.0}, {b, 1.0}}, 1.0);
@@ -42,9 +42,9 @@ TEST(IlpSolverTest, Knapsack) {
   // Maximize value = minimize -value. Items (value, weight):
   // (6,3) (5,2) (4,2), capacity 4 -> best picks items 2 and 3: value 9.
   IlpModel model;
-  const int x0 = model.AddBinaryVar("x0");
-  const int x1 = model.AddBinaryVar("x1");
-  const int x2 = model.AddBinaryVar("x2");
+  const int x0 = model.AddBinaryVar();
+  const int x1 = model.AddBinaryVar();
+  const int x2 = model.AddBinaryVar();
   model.SetObjectiveCoef(x0, -6.0);
   model.SetObjectiveCoef(x1, -5.0);
   model.SetObjectiveCoef(x2, -4.0);
@@ -61,8 +61,8 @@ TEST(IlpSolverTest, Knapsack) {
 TEST(IlpSolverTest, InfeasibleDetected) {
   // a + b >= 3 with binaries is impossible.
   IlpModel model;
-  const int a = model.AddBinaryVar("a");
-  const int b = model.AddBinaryVar("b");
+  const int a = model.AddBinaryVar();
+  const int b = model.AddBinaryVar();
   model.AddGreaterEqual({{a, 1.0}, {b, 1.0}}, 3.0);
   IlpSolver solver;
   EXPECT_EQ(solver.Solve(model).status, IlpStatus::kInfeasible);
@@ -70,9 +70,9 @@ TEST(IlpSolverTest, InfeasibleDetected) {
 
 TEST(IlpSolverTest, EqualityConstraint) {
   IlpModel model;
-  const int a = model.AddBinaryVar("a");
-  const int b = model.AddBinaryVar("b");
-  const int c = model.AddBinaryVar("c");
+  const int a = model.AddBinaryVar();
+  const int b = model.AddBinaryVar();
+  const int c = model.AddBinaryVar();
   model.SetObjectiveCoef(a, 1.0);
   model.SetObjectiveCoef(b, 2.0);
   model.SetObjectiveCoef(c, 3.0);
@@ -85,8 +85,8 @@ TEST(IlpSolverTest, EqualityConstraint) {
 
 TEST(IlpSolverTest, FixVarRespected) {
   IlpModel model;
-  const int a = model.AddBinaryVar("a");
-  const int b = model.AddBinaryVar("b");
+  const int a = model.AddBinaryVar();
+  const int b = model.AddBinaryVar();
   model.SetObjectiveCoef(a, 1.0);
   model.FixVar(a, 1);
   model.AddGreaterEqual({{a, 1.0}, {b, 1.0}}, 1.0);
@@ -102,7 +102,7 @@ TEST(IlpSolverTest, ImplicationChainPropagates) {
   IlpModel model;
   std::vector<int> y;
   for (int i = 0; i < 10; ++i) {
-    y.push_back(model.AddBinaryVar("y" + std::to_string(i)));
+    y.push_back(model.AddBinaryVar());
   }
   for (int i = 0; i + 1 < 10; ++i) {
     model.AddLessEqual({{y[i], 1.0}, {y[i + 1], -1.0}}, 0.0);
@@ -119,7 +119,7 @@ TEST(IlpSolverTest, ImplicationChainPropagates) {
 TEST(IlpSolverTest, CutoffRejectsNonImprovingSolutions) {
   // Only solution costs 5; cutoff 5 means "must be < 5" -> no better.
   IlpModel model;
-  const int a = model.AddBinaryVar("a");
+  const int a = model.AddBinaryVar();
   model.SetObjectiveCoef(a, 5.0);
   model.AddGreaterEqual({{a, 1.0}}, 1.0);
   IlpSolver solver;
@@ -135,8 +135,8 @@ TEST(IlpSolverTest, MipGapAcceptsNearOptimal) {
   // first incumbent; any returned solution must still be feasible and within
   // the gap of optimal.
   IlpModel model;
-  const int a = model.AddBinaryVar("a");
-  const int b = model.AddBinaryVar("b");
+  const int a = model.AddBinaryVar();
+  const int b = model.AddBinaryVar();
   model.SetObjectiveCoef(a, 10.0);
   model.SetObjectiveCoef(b, 11.0);
   model.AddGreaterEqual({{a, 1.0}, {b, 1.0}}, 1.0);
@@ -151,8 +151,8 @@ TEST(IlpSolverTest, MipGapAcceptsNearOptimal) {
 TEST(IlpSolverTest, NegativeCoefficientConstraints) {
   // x - y <= 0 means x=1 forces y=1. Minimize y: both zero. Force x=1.
   IlpModel model;
-  const int x = model.AddBinaryVar("x");
-  const int y = model.AddBinaryVar("y");
+  const int x = model.AddBinaryVar();
+  const int y = model.AddBinaryVar();
   model.SetObjectiveCoef(y, 1.0);
   model.AddLessEqual({{x, 1.0}, {y, -1.0}}, 0.0);
   model.FixVar(x, 1);
@@ -169,7 +169,7 @@ TEST(IlpSolverTest, NodeLimitReturnsLimitStatus) {
   Rng rng(3);
   std::vector<int> vars;
   for (int i = 0; i < 30; ++i) {
-    vars.push_back(model.AddBinaryVar("v" + std::to_string(i)));
+    vars.push_back(model.AddBinaryVar());
     model.SetObjectiveCoef(vars.back(), rng.UniformDouble(1, 10));
   }
   for (int c = 0; c < 15; ++c) {
@@ -198,7 +198,7 @@ TEST_P(IlpRandomInstanceTest, MatchesBruteForce) {
   std::vector<int> vars;
   std::vector<double> obj(n);
   for (int i = 0; i < n; ++i) {
-    vars.push_back(model.AddBinaryVar("v" + std::to_string(i)));
+    vars.push_back(model.AddBinaryVar());
     obj[i] = rng.UniformDouble(-5, 10);
     model.SetObjectiveCoef(vars[i], obj[i]);
   }
@@ -273,7 +273,7 @@ IlpModel HardInstance(int n, Rng& rng) {
   IlpModel model;
   std::vector<int> vars;
   for (int i = 0; i < n; ++i) {
-    vars.push_back(model.AddBinaryVar("x" + std::to_string(i)));
+    vars.push_back(model.AddBinaryVar());
     model.SetObjectiveCoef(vars[i], -(1.0 + rng.UniformDouble() * 0.01));
   }
   for (int c = 0; c < 4; ++c) {

@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <optional>
+
+#include "src/common/strings.h"
 #include "src/graph/random_dag.h"
+#include "src/partition/combinations.h"
 #include "src/partition/ilp_encoding.h"
+#include "src/partition/ilp_solve_cache.h"
 
 namespace quilt {
 namespace {
@@ -134,6 +142,128 @@ TEST(OptimalSolverTest, CandidateSetLimitStopsEarly) {
   // Everything fits here, so even k=1 finds the full merge.
   ASSERT_TRUE(solution.ok());
   EXPECT_DOUBLE_EQ(solution->cross_cost, 0.0);
+}
+
+// Today's sweep without the R = V bound: every candidate root set in
+// ForEachCombination order, the incumbent as cutoff, strict improvements
+// only, and the latency objective's zero-cost exit.
+struct ReferenceSweep {
+  std::optional<MergeSolution> best;
+  int64_t candidate_sets = 0;
+};
+
+ReferenceSweep RunReferenceSweep(const MergeProblem& problem, IlpSolveCache* cache) {
+  const CallGraph& graph = *problem.graph;
+  const int n = graph.num_nodes();
+  const uint64_t fingerprint = FingerprintProblem(problem);
+  const bool cost_active = problem.cost.active(graph.num_edges());
+  std::vector<NodeId> others;
+  for (NodeId id = 0; id < n; ++id) {
+    if (id != graph.root()) {
+      others.push_back(id);
+    }
+  }
+  ReferenceSweep sweep;
+  for (int k = 1; k <= n; ++k) {
+    const bool completed =
+        ForEachCombination(n - 1, k - 1, [&](const std::vector<int>& combo) {
+          ++sweep.candidate_sets;
+          std::vector<NodeId> roots = {graph.root()};
+          for (int index : combo) {
+            roots.push_back(others[index]);
+          }
+          IlpSolveOptions ilp_options;
+          if (sweep.best.has_value()) {
+            ilp_options.cutoff = sweep.best->cross_cost;
+          }
+          Result<MergeSolution> solution =
+              SolveForRootsCached(problem, fingerprint, roots, ilp_options, cache, nullptr);
+          if (solution.ok()) {
+            sweep.best = std::move(solution).value();
+            if (!cost_active && sweep.best->cross_cost <= 0.0) {
+              return false;
+            }
+          }
+          return true;
+        });
+    if (!completed) {
+      break;
+    }
+  }
+  return sweep;
+}
+
+TEST(OptimalSolverTest, EarlyStopMatchesFullSweep) {
+  // Memory-only, CPU + memory, and blended λ ∈ {0, 0.5, 0.9} with
+  // non-integer dollar terms, each with and without a cache: the early stop
+  // returns the full sweep's plan, bit for bit, and stays exhaustive.
+  Rng rng(2203);
+  int64_t memory_only_sets = 0;
+  int64_t memory_only_reference_sets = 0;
+  int decisions = 0;
+  for (int n = 4; n <= 8; ++n) {
+    for (int trial = 0; trial < (n < 8 ? 2 : 1); ++trial) {  // n = 8 dominates the time.
+      RandomDagOptions options;
+      options.num_nodes = n;
+      CallGraph g = GenerateRandomRdag(options, rng);
+      double total_cpu = 0.0;
+      double total_mem = 0.0;
+      double max_cpu = 0.0;
+      double max_mem = 0.0;
+      for (NodeId id = 0; id < n; ++id) {
+        total_cpu += g.node(id).cpu;
+        total_mem += g.node(id).memory;
+        max_cpu = std::max(max_cpu, g.node(id).cpu);
+        max_mem = std::max(max_mem, g.node(id).memory);
+      }
+      const double mem_limit = std::max(total_mem * rng.UniformDouble(0.3, 0.7), max_mem * 1.5);
+      const double cpu_limit = std::max(total_cpu * rng.UniformDouble(0.3, 0.7), max_cpu * 1.5);
+      std::vector<MergeProblem> problems;
+      problems.push_back(MergeProblem{&g, 1e9, mem_limit, PlanCostModel{}});
+      problems.push_back(MergeProblem{&g, cpu_limit, mem_limit, PlanCostModel{}});
+      for (double lambda : {0.0, 0.5, 0.9}) {
+        PlanCostModel cost;
+        cost.weight = lambda;
+        cost.scale = 1000.0;
+        cost.base = rng.UniformDouble(0.0, 0.1);
+        for (EdgeId e = 0; e < g.num_edges(); ++e) {
+          cost.cut_cost.push_back(rng.UniformDouble(0.0, 0.3));
+          cost.merge_cost.push_back(rng.UniformDouble(0.0, 0.3));
+        }
+        problems.push_back(MergeProblem{&g, cpu_limit, mem_limit, std::move(cost)});
+      }
+      for (size_t shape = 0; shape < problems.size(); ++shape) {
+        const MergeProblem& problem = problems[shape];
+        for (bool with_cache : {false, true}) {
+          IlpSolveCache solver_cache;
+          IlpSolveCache reference_cache;
+          SolverOptions solver_options;
+          solver_options.cache = with_cache ? &solver_cache : nullptr;
+          OptimalSolver solver;
+          SolverStats stats;
+          Result<MergeSolution> solution = solver.Solve(problem, solver_options, &stats);
+          const ReferenceSweep reference =
+              RunReferenceSweep(problem, with_cache ? &reference_cache : nullptr);
+          SCOPED_TRACE(StrCat("n=", n, " trial=", trial, " shape=", shape,
+                              " cache=", with_cache));
+          ASSERT_TRUE(reference.best.has_value());
+          ASSERT_TRUE(solution.ok());
+          EXPECT_EQ(SolutionToString(g, *solution), SolutionToString(g, *reference.best));
+          EXPECT_EQ(std::bit_cast<uint64_t>(solution->cross_cost),
+                    std::bit_cast<uint64_t>(reference.best->cross_cost));
+          EXPECT_TRUE(stats.exhaustive);
+          EXPECT_LE(stats.candidate_sets_tried, reference.candidate_sets);
+          if (shape == 0) {
+            memory_only_sets += stats.candidate_sets_tried;
+            memory_only_reference_sets += reference.candidate_sets;
+          }
+          ++decisions;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(decisions, 90);
+  EXPECT_LT(memory_only_sets, memory_only_reference_sets);
 }
 
 }  // namespace
