@@ -16,6 +16,8 @@
 // Both scenarios assert determinism: the serialized AdaptationRecord
 // sequence is byte-identical across repeated runs at the same seed and
 // across decision_threads = 1 / 2 / 8 (records carry no wall-clock fields).
+// Decisions are forced onto GRASP, so the wider settings really run the
+// solver on several threads.
 //
 // Flags:
 //   --smoke           short runs (CI); same pipeline, fewer thread configs.
@@ -59,13 +61,15 @@ int64_t CountAction(const ScenarioRun& run, const std::string& action) {
 ControllerOptions MakeControllerOptions(int threads) {
   ControllerOptions options;
   options.container_memory_limit_mb = 256.0;
+  // kAuto would hand the small fan-out graph to the single-threaded exact
+  // solver, and the thread sweep would compare identical decisions.
+  options.decision.solver = SolverChoice::kGrasp;
   options.decision.grasp_threads = threads;
   return options;
 }
 
 AutopilotOptions MakePilotOptions() {
   AutopilotOptions options;
-  options.tick_interval = Seconds(5);
   options.min_window_traces = 10;
   options.canary_min_traces = 8;
   options.canary_fraction = 0.3;
@@ -120,8 +124,7 @@ ScenarioRun RunShiftScenario(bool smoke, int threads) {
 
 // Scenario B: steady traffic with a fault-injection window that OOM-kills
 // every dispatch to the merged root for a bounded period after promotion.
-ScenarioRun RunOomScenario(bool smoke, int threads, SimTime* storm_start,
-                           SimDuration* tick_interval) {
+ScenarioRun RunOomScenario(bool smoke, int threads, SimTime* storm_start) {
   PlatformConfig config;
   FaultRule rule;
   rule.kind = FaultKind::kOomKill;
@@ -140,9 +143,7 @@ ScenarioRun RunOomScenario(bool smoke, int threads, SimTime* storm_start,
     std::printf("!! register: %s\n", registered.ToString().c_str());
     return {};
   }
-  const AutopilotOptions pilot_options = MakePilotOptions();
-  *tick_interval = pilot_options.tick_interval;
-  Autopilot pilot(&env.sim, &env.controller, pilot_options);
+  Autopilot pilot(&env.sim, &env.controller, MakePilotOptions());
   (void)pilot.Enroll(kRoot);
   pilot.Start();
 
@@ -243,9 +244,7 @@ int main(int argc, char** argv) {
   // --- Scenario B: OOM storm -> bounded-time automatic rollback.
   std::printf("\n[scenario B] injected OOM storm -> automatic rollback\n");
   SimTime storm_start = 0;
-  SimDuration tick_interval = 0;
-  const ScenarioRun storm = RunOomScenario(smoke, thread_configs[0], &storm_start,
-                                           &tick_interval);
+  const ScenarioRun storm = RunOomScenario(smoke, thread_configs[0], &storm_start);
   PrintRecords(storm);
 
   const AdaptationRecord* rollback = nullptr;
@@ -269,7 +268,7 @@ int main(int argc, char** argv) {
   } else {
     // Bounded reaction: the rollback lands within 3 control ticks of the
     // storm opening.
-    const SimTime bound = storm_start + 3 * tick_interval;
+    const SimTime bound = storm_start + 3 * kAutopilotTick;
     if (rollback->virtual_time > bound) {
       std::printf("!! scenario B: rollback at t=%lld ns, after the bound %lld ns\n",
                   static_cast<long long>(rollback->virtual_time),
@@ -282,17 +281,14 @@ int main(int argc, char** argv) {
   }
 
   SimTime repeat_start = 0;
-  SimDuration repeat_tick = 0;
-  const ScenarioRun storm_repeat =
-      RunOomScenario(smoke, thread_configs[0], &repeat_start, &repeat_tick);
+  const ScenarioRun storm_repeat = RunOomScenario(smoke, thread_configs[0], &repeat_start);
   if (storm_repeat.serialized != storm.serialized) {
     std::printf("!! scenario B: record sequence differs across repeated runs\n");
     ok = false;
   }
   for (size_t i = 1; i < thread_configs.size(); ++i) {
     SimTime start = 0;
-    SimDuration tick = 0;
-    const ScenarioRun threaded = RunOomScenario(smoke, thread_configs[i], &start, &tick);
+    const ScenarioRun threaded = RunOomScenario(smoke, thread_configs[i], &start);
     const bool identical = threaded.serialized == storm.serialized;
     std::printf("  decision_threads=%d: %lld records, %s\n", thread_configs[i],
                 static_cast<long long>(threaded.records.size()),

@@ -37,11 +37,10 @@ constexpr double kNodeCpu = 4.0;
 constexpr double kNodeMemoryMb = 1024.0;
 constexpr int kStaticNodes = 6;  // Peak-sized static fleet.
 
-// Two functions, so OptimizeWorkflow makes a real (if small) decision. A
-// 2-node graph resolves to the single-threaded exact solver, so the
-// determinism sweep over decision_threads shows that the knob leaks into
-// nothing else, not that GRASP is deterministic on several threads (the
-// controller-level CostReportTest checks that).
+// Two functions, so OptimizeWorkflow makes a real (if small) decision. The
+// scenario forces GRASP, which a 2-node graph would otherwise skip for the
+// single-threaded exact solver, so the determinism sweep over
+// decision_threads runs the decision on 1, 2 and 8 threads.
 WorkflowApp ScaleApp() {
   WorkflowApp app;
   app.name = "autoscale";
@@ -84,6 +83,7 @@ ScenarioResult RunScenario(bool elastic, int decision_threads, bool smoke) {
   ScenarioResult result;
 
   ControllerOptions options;
+  options.decision.solver = SolverChoice::kGrasp;
   options.decision.grasp_threads = decision_threads;
   // Same container-scaling ceiling for both fleets: 6 replicas per function
   // is 12 containers at 2 vCPU each -- exactly the 6-node static fleet's
@@ -100,7 +100,6 @@ ScenarioResult RunScenario(bool elastic, int decision_threads, bool smoke) {
     config.autoscaler.max_nodes = kStaticNodes;
     config.autoscaler.warm_pool = 1;
     config.autoscaler.evaluate_interval = Milliseconds(250);
-    config.autoscaler.scale_up_ticks = 1;
     config.autoscaler.provisioning_delay = Seconds(1);
     config.autoscaler.scale_down_idle_ticks = 4;  // ~1 s of surplus per shed.
   } else {

@@ -8,6 +8,34 @@
 
 namespace quilt {
 
+namespace {
+
+// Canary guard window: the tick bound (abort when still starved) and how
+// far the canary may trail the control on p99 and failure rate.
+constexpr int64_t kCanaryMaxTicks = 4;
+constexpr double kCanaryP99Tolerance = 0.10;
+constexpr double kCanaryFailureTolerance = 0.02;
+// Reoptimize detectors trip after this many consecutive firing windows and
+// then stay quiet for this many ticks.
+constexpr int kHysteresisWindows = 2;
+constexpr int64_t kDetectorCooldownTicks = 2;
+
+}  // namespace
+
+Status AutopilotOptions::Validate() const {
+  if (min_window_traces < 0) {
+    return InvalidArgumentError("min_window_traces must be >= 0");
+  }
+  if (canary_fraction <= 0.0 || canary_fraction > 1.0) {
+    return InvalidArgumentError(
+        StrCat("canary_fraction must be in (0, 1], got ", FormatDouble(canary_fraction, 3)));
+  }
+  if (canary_min_traces < 1) {
+    return InvalidArgumentError("canary_min_traces must be >= 1");
+  }
+  return Status::Ok();
+}
+
 const char* WorkflowStateName(WorkflowState state) {
   switch (state) {
     case WorkflowState::kRegistered:
@@ -27,44 +55,20 @@ const char* WorkflowStateName(WorkflowState state) {
 }
 
 Autopilot::Autopilot(Simulation* sim, QuiltController* controller, AutopilotOptions options)
-    : sim_(sim), controller_(controller), options_(options) {}
-
-std::vector<Autopilot::DetectorRuntime> Autopilot::BuildDetectors() const {
-  // Fixed order: the safety trip first, then the reoptimize detectors. The
-  // first detector that trips on a tick wins it.
-  std::vector<DetectorRuntime> detectors;
-  detectors.push_back({std::make_unique<OomKillDetector>(options_.oom_kill_threshold), 0, 0});
-  detectors.push_back(
-      {std::make_unique<P99RegressionDetector>(options_.p99_regression_pct), 0, 0});
-  detectors.push_back(
-      {std::make_unique<AlphaDriftDetector>(options_.alpha_drift_threshold), 0, 0});
-  detectors.push_back(
-      {std::make_unique<ColdStartSurgeDetector>(options_.cold_start_share_threshold), 0, 0});
-  detectors.push_back(
-      {std::make_unique<CostRegressionDetector>(options_.cost_regression_pct), 0, 0});
-  detectors.push_back(
-      {std::make_unique<ColdNodePressureDetector>(options_.spawn_queue_pressure_threshold),
-       0, 0});
-  return detectors;
-}
-
-void Autopilot::ResetDetectors(Pilot& pilot) {
-  for (DetectorRuntime& rt : pilot.detectors) {
-    rt.consecutive = 0;
-    rt.cooldown_until = 0;
-  }
-}
+    : sim_(sim),
+      controller_(controller),
+      options_(options),
+      options_status_(options.Validate()) {}
 
 Status Autopilot::Enroll(const std::string& root_handle) {
+  QUILT_RETURN_IF_ERROR(options_status_);
   if (!controller_->HasFunction(root_handle)) {
     return NotFoundError(StrCat("workflow root '", root_handle, "' not registered"));
   }
   if (pilots_.count(root_handle) > 0) {
     return AlreadyExistsError(StrCat("workflow '", root_handle, "' already enrolled"));
   }
-  Pilot pilot;
-  pilot.detectors = BuildDetectors();
-  pilots_[root_handle] = std::move(pilot);
+  pilots_[root_handle] = Pilot{};
   AdaptationRecord record = MakeRecord(root_handle, WorkflowState::kRegistered,
                                        WorkflowState::kRegistered, "register");
   record.reason = "enrolled under autopilot control";
@@ -73,12 +77,12 @@ Status Autopilot::Enroll(const std::string& root_handle) {
 }
 
 void Autopilot::Start() {
-  if (running_) {
+  if (running_ || !options_status_.ok()) {
     return;
   }
   running_ = true;
   controller_->StartProfiling();
-  sim_->Schedule(options_.tick_interval, [this] { Tick(); });
+  sim_->Schedule(kAutopilotTick, [this] { Tick(); });
 }
 
 Result<WorkflowState> Autopilot::StateOf(const std::string& root_handle) const {
@@ -121,7 +125,7 @@ void Autopilot::Tick() {
   // window's last sample tick (both 0 with the node model off).
   window_queue_peak_ = 0;
   window_provisioning_ = 0;
-  const SimTime window_start = sim_->now() - options_.tick_interval;
+  const SimTime window_start = sim_->now() - kAutopilotTick;
   SimTime last_sample_ts = -1;
   for (const NodeSample& sample : metrics.node_samples()) {
     if (sample.timestamp < window_start) {
@@ -142,7 +146,7 @@ void Autopilot::Tick() {
   // Roll a fresh profile window for the next tick (Start is idempotent on
   // the monitor, so this only resets the window origin).
   controller_->StartProfiling();
-  sim_->Schedule(options_.tick_interval, [this] { Tick(); });
+  sim_->Schedule(kAutopilotTick, [this] { Tick(); });
 }
 
 void Autopilot::Step(const std::string& root, Pilot& pilot,
@@ -157,7 +161,7 @@ void Autopilot::Step(const std::string& root, Pilot& pilot,
       break;
     }
     case WorkflowState::kRolledBack: {
-      ResetDetectors(pilot);
+      pilot.detectors = {};
       pilot.baseline_p99 = 0;
       pilot.baseline_cost_per_request_nanos = 0;
       pilot.last_cost_nanos = 0;
@@ -318,17 +322,16 @@ void Autopilot::StepCanarying(const std::string& root, Pilot& pilot,
                 (1.0 + options_.canary_cost_tolerance) * static_cast<double>(control_cpr);
     }
     record.metric = p99_ratio;
-    record.threshold = 1.0 + options_.canary_p99_tolerance;
-    promote = p99_ratio <= 1.0 + options_.canary_p99_tolerance &&
-              canary_failures <= control_failures + options_.canary_failure_tolerance &&
-              cost_ok;
+    record.threshold = 1.0 + kCanaryP99Tolerance;
+    promote = p99_ratio <= 1.0 + kCanaryP99Tolerance &&
+              canary_failures <= control_failures + kCanaryFailureTolerance && cost_ok;
     record.reason = StrCat("canary p99/control p99 = ", FormatDouble(p99_ratio, 3),
                            ", failure rates ", FormatDouble(canary_failures, 3), " vs ",
                            FormatDouble(control_failures, 3), ", $/request ",
                            FormatNanodollars(canary_cpr), " vs ",
                            FormatNanodollars(control_cpr), " over ", canary.traces, "/",
                            control.traces, " traces");
-  } else if (pilot.canary_ticks >= options_.canary_max_ticks) {
+  } else if (pilot.canary_ticks >= kCanaryMaxTicks) {
     record.metric = static_cast<double>(std::min(control.traces, canary.traces));
     record.threshold = static_cast<double>(options_.canary_min_traces);
     record.reason = StrCat("guard window expired with ", canary.traces, " canary / ",
@@ -349,7 +352,7 @@ void Autopilot::StepCanarying(const std::string& root, Pilot& pilot,
     // plan; window deltas restart from the promoted bill.
     pilot.baseline_cost_per_request_nanos = 0;
     pilot.last_cost_nanos = WorkflowCostTotals(root).first;
-    ResetDetectors(pilot);
+    pilot.detectors = {};
     record.to_state = WorkflowStateName(WorkflowState::kMonitoring);
     record.action = "promote";
     Emit(std::move(record));
@@ -398,16 +401,18 @@ void Autopilot::StepMonitoring(const std::string& root, Pilot& pilot,
   }
   pilot.last_cost_nanos = window_cost_nanos;
 
-  for (DetectorRuntime& rt : pilot.detectors) {
-    const DetectorVerdict verdict = rt.detector->Evaluate(signals);
-    if (rt.detector->action() == AdaptationAction::kRollback) {
+  for (size_t i = 0; i < kDetectors.size(); ++i) {
+    const DetectorEntry& detector = kDetectors[i];
+    DetectorState& rt = pilot.detectors[i];
+    const DetectorVerdict verdict = detector.evaluate(signals);
+    if (detector.action == AdaptationAction::kRollback) {
       // Safety trip: no hysteresis, no cooldown -- act on first fire.
       if (!verdict.fired || !controller_->RollbackDeployment(root).ok()) {
         continue;
       }
       AdaptationRecord record =
           MakeRecord(root, WorkflowState::kMonitoring, WorkflowState::kRolledBack, "rollback");
-      record.detector = rt.detector->name();
+      record.detector = detector.name;
       record.metric = verdict.metric;
       record.threshold = verdict.threshold;
       record.window_traces = window.traces;
@@ -423,12 +428,12 @@ void Autopilot::StepMonitoring(const std::string& root, Pilot& pilot,
       rt.consecutive = 0;
       continue;
     }
-    if (++rt.consecutive < options_.hysteresis_windows) {
+    if (++rt.consecutive < kHysteresisWindows) {
       continue;  // Hysteresis: one noisy window must not flap the deployment.
     }
     rt.consecutive = 0;
-    rt.cooldown_until = tick_ + options_.detector_cooldown_ticks;
-    AdoptPlan(root, pilot, rt.detector->name(), verdict, window.traces);
+    rt.cooldown_until = tick_ + kDetectorCooldownTicks;
+    AdoptPlan(root, pilot, detector.name, verdict, window.traces);
     return;  // At most one adaptation per workflow per tick.
   }
 }

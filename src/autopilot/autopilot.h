@@ -5,7 +5,7 @@
 // decides when enough evidence has accumulated to merge, stages every new
 // plan as a weighted canary instead of an atomic swap, promotes or aborts
 // the canary from a per-version SLO comparison, and keeps watching the
-// promoted plan with pluggable drift/SLO detectors -- rolling back with no
+// promoted plan with fixed drift/SLO detectors -- rolling back with no
 // operator in the loop when a merge misbehaves.
 //
 //   Registered -> Profiling -> Optimized -> Canarying -> Monitoring
@@ -22,8 +22,8 @@
 #ifndef SRC_AUTOPILOT_AUTOPILOT_H_
 #define SRC_AUTOPILOT_AUTOPILOT_H_
 
+#include <array>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,51 +46,46 @@ enum class WorkflowState {
 
 const char* WorkflowStateName(WorkflowState state);
 
+// Control tick = profile window length. Every tick closes the current
+// window, evaluates each enrolled workflow against it, then rolls a fresh
+// window.
+inline constexpr SimDuration kAutopilotTick = Seconds(5);
+
+// The canary guard window runs for at most 4 ticks and promotes iff canary
+// p99 <= 1.10x control p99, canary failure rate <= control's + 0.02 and the
+// cost gate below holds. Reoptimize detectors must fire on 2 consecutive
+// windows to trip, and a tripped detector stays quiet for 2 ticks; the OOM
+// detector is a safety trip and rolls back on first fire.
 struct AutopilotOptions {
-  // Control tick = profile window length. Every tick closes the current
-  // window, evaluates each enrolled workflow against it, then rolls a fresh
-  // window.
-  SimDuration tick_interval = Seconds(5);
   // Windows with fewer complete traces are "quiet": trace-based detectors
   // hold (the typed kUnavailable summary status, not an alarm) and no merge
   // decision is attempted.
   int64_t min_window_traces = 20;
 
   // --- Canary guard window.
-  double canary_fraction = 0.2;       // Traffic share the staged version gets.
-  int64_t canary_min_traces = 20;     // Per arm before the verdict is called.
-  int64_t canary_max_ticks = 4;       // Guard bound; abort when still starved.
-  double canary_p99_tolerance = 0.10;     // Canary p99 may exceed control by this.
-  double canary_failure_tolerance = 0.02; // Allowed canary failure-rate excess.
+  double canary_fraction = 0.2;    // Traffic share the staged version gets.
+  int64_t canary_min_traces = 20;  // Per arm before the verdict is called.
   // Cost gate: the canary arm's billed $/request may exceed the control
   // arm's by at most this fraction. Inert while billing is idle (neither arm
   // accrued a bill during the guard window).
   double canary_cost_tolerance = 0.10;
 
-  // --- Detector thresholds (§4.9). Reoptimize detectors carry hysteresis:
-  // they must fire on `hysteresis_windows` consecutive windows to trip, and
-  // a tripped detector stays quiet for `detector_cooldown_ticks`. The OOM
-  // detector is a safety trip: it rolls back on first fire, no hysteresis.
-  int hysteresis_windows = 2;
-  int64_t detector_cooldown_ticks = 2;
-  int64_t oom_kill_threshold = 1;     // OOM kills since deploy that trip.
-  double p99_regression_pct = 0.5;    // Window p99 vs promote-time baseline.
-  double alpha_drift_threshold = 0.25;  // Fallback/budget ratio on local edges.
-  double cold_start_share_threshold = 0.5;  // Cold-start share of e2e.
-  double cost_regression_pct = 0.5;  // Window $/request vs post-promote baseline.
-  // Cold-node pressure: window peak of the cluster spawn queue (containers
-  // waiting for node capacity) that trips a re-decision.
-  int64_t spawn_queue_pressure_threshold = 8;
+  // Rejects canary_min_traces < 1, canary_fraction outside (0, 1] and a
+  // negative min_window_traces. canary_cost_tolerance is free: a negative
+  // tolerance demands the canary bill less than the control.
+  Status Validate() const;
 };
 
 class Autopilot {
  public:
   Autopilot(Simulation* sim, QuiltController* controller, AutopilotOptions options = {});
 
-  // Enrolls a registered workflow root under autopilot control.
+  // Enrolls a registered workflow root under autopilot control. Fails with
+  // the options' Validate error while they are invalid.
   Status Enroll(const std::string& root_handle);
 
-  // Starts the control loop: profiling on, ticks scheduled. Idempotent.
+  // Starts the control loop: profiling on, ticks scheduled. Idempotent, and
+  // a no-op while the options are invalid.
   void Start();
   void Stop() { running_ = false; }
   bool running() const { return running_; }
@@ -100,15 +95,15 @@ class Autopilot {
   const AutopilotOptions& options() const { return options_; }
 
  private:
-  // A detector plus its hysteresis/cooldown state for one workflow.
-  struct DetectorRuntime {
-    std::unique_ptr<Detector> detector;
-    int consecutive = 0;          // Consecutive windows the detector fired.
-    int64_t cooldown_until = 0;   // Tick before which it may not trip again.
+  // Hysteresis/cooldown state of one detector for one workflow.
+  struct DetectorState {
+    int consecutive = 0;         // Consecutive windows the detector fired.
+    int64_t cooldown_until = 0;  // Tick before which it may not trip again.
   };
   struct Pilot {
     WorkflowState state = WorkflowState::kRegistered;
-    std::vector<DetectorRuntime> detectors;
+    // Indexed like kDetectors.
+    std::array<DetectorState, kDetectors.size()> detectors{};
     SimDuration baseline_p99 = 0;  // Promoted plan's p99 at promote time.
     int64_t canary_ticks = 0;      // Ticks the current guard window has run.
     // --- Billing state (all nanodollars, integer-exact).
@@ -145,9 +140,6 @@ class Autopilot {
   // handles, so merged deployments are covered too).
   std::pair<int64_t, int64_t> WorkflowCostTotals(const std::string& root) const;
 
-  void ResetDetectors(Pilot& pilot);
-  std::vector<DetectorRuntime> BuildDetectors() const;
-
   AdaptationRecord MakeRecord(const std::string& root, WorkflowState from, WorkflowState to,
                               std::string action) const;
   void Emit(AdaptationRecord record);
@@ -155,6 +147,7 @@ class Autopilot {
   Simulation* sim_;
   QuiltController* controller_;
   AutopilotOptions options_;
+  Status options_status_;
   bool running_ = false;
   int64_t tick_ = 0;
   // Fleet-pressure signals of the window that just closed, computed once per

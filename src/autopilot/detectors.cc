@@ -5,11 +5,22 @@
 
 namespace quilt {
 
-DetectorVerdict OomKillDetector::Evaluate(const DetectorSignals& signals) const {
+namespace {
+
+constexpr int64_t kOomKillThreshold = 1;             // OOM kills since deploy.
+constexpr double kP99RegressionPct = 0.5;            // Over the promote-time p99.
+constexpr double kAlphaDriftThreshold = 0.25;        // Fallbacks per budget.
+constexpr double kColdStartShareThreshold = 0.5;     // Cold-start share of e2e.
+constexpr double kCostRegressionPct = 0.5;           // Over the post-promote $/request.
+constexpr int64_t kSpawnQueuePressureThreshold = 8;  // Window spawn-queue peak.
+
+}  // namespace
+
+DetectorVerdict DetectOomKill(const DetectorSignals& signals) {
   DetectorVerdict verdict;
   verdict.metric = static_cast<double>(signals.oom_kills_since_deploy);
-  verdict.threshold = static_cast<double>(threshold_);
-  if (signals.oom_kills_since_deploy >= threshold_) {
+  verdict.threshold = static_cast<double>(kOomKillThreshold);
+  if (signals.oom_kills_since_deploy >= kOomKillThreshold) {
     verdict.fired = true;
     verdict.reason = StrCat("merged containers OOM-killed ", signals.oom_kills_since_deploy,
                             " time(s) since deploy");
@@ -17,9 +28,9 @@ DetectorVerdict OomKillDetector::Evaluate(const DetectorSignals& signals) const 
   return verdict;
 }
 
-DetectorVerdict P99RegressionDetector::Evaluate(const DetectorSignals& signals) const {
+DetectorVerdict DetectP99Regression(const DetectorSignals& signals) {
   DetectorVerdict verdict;
-  verdict.threshold = regression_pct_;
+  verdict.threshold = kP99RegressionPct;
   if (signals.window == nullptr || signals.baseline_p99 <= 0 ||
       signals.window->end_to_end.p99 <= 0) {
     return verdict;  // No data: hold.
@@ -27,7 +38,7 @@ DetectorVerdict P99RegressionDetector::Evaluate(const DetectorSignals& signals) 
   verdict.metric = static_cast<double>(signals.window->end_to_end.p99) /
                        static_cast<double>(signals.baseline_p99) -
                    1.0;
-  if (verdict.metric > regression_pct_) {
+  if (verdict.metric > kP99RegressionPct) {
     verdict.fired = true;
     verdict.reason = StrCat("window p99 ", signals.window->end_to_end.p99, "ns is ",
                             FormatDouble(100.0 * verdict.metric, 1),
@@ -36,14 +47,14 @@ DetectorVerdict P99RegressionDetector::Evaluate(const DetectorSignals& signals) 
   return verdict;
 }
 
-DetectorVerdict AlphaDriftDetector::Evaluate(const DetectorSignals& signals) const {
+DetectorVerdict DetectAlphaDrift(const DetectorSignals& signals) {
   DetectorVerdict verdict;
   verdict.metric = signals.alpha_drift;
-  verdict.threshold = ratio_threshold_;
+  verdict.threshold = kAlphaDriftThreshold;
   if (signals.window == nullptr) {
     return verdict;  // Fallback counts come from traces: hold on quiet windows.
   }
-  if (signals.alpha_drift >= ratio_threshold_) {
+  if (signals.alpha_drift >= kAlphaDriftThreshold) {
     verdict.fired = true;
     verdict.reason = StrCat("observed fallback invocations reach ",
                             FormatDouble(100.0 * signals.alpha_drift, 1),
@@ -52,9 +63,24 @@ DetectorVerdict AlphaDriftDetector::Evaluate(const DetectorSignals& signals) con
   return verdict;
 }
 
-DetectorVerdict CostRegressionDetector::Evaluate(const DetectorSignals& signals) const {
+DetectorVerdict DetectColdStartSurge(const DetectorSignals& signals) {
   DetectorVerdict verdict;
-  verdict.threshold = regression_pct_;
+  verdict.threshold = kColdStartShareThreshold;
+  if (signals.window == nullptr) {
+    return verdict;
+  }
+  verdict.metric = signals.window->cold_start.share;
+  if (verdict.metric > kColdStartShareThreshold) {
+    verdict.fired = true;
+    verdict.reason = StrCat("cold starts take ", FormatDouble(100.0 * verdict.metric, 1),
+                            "% of end-to-end latency this window");
+  }
+  return verdict;
+}
+
+DetectorVerdict DetectCostRegression(const DetectorSignals& signals) {
+  DetectorVerdict verdict;
+  verdict.threshold = kCostRegressionPct;
   if (signals.window == nullptr || signals.baseline_cost_per_request_nanos <= 0 ||
       signals.cost_per_request_nanos <= 0) {
     return verdict;  // No bill or no baseline yet: hold.
@@ -62,7 +88,7 @@ DetectorVerdict CostRegressionDetector::Evaluate(const DetectorSignals& signals)
   verdict.metric = static_cast<double>(signals.cost_per_request_nanos) /
                        static_cast<double>(signals.baseline_cost_per_request_nanos) -
                    1.0;
-  if (verdict.metric > regression_pct_) {
+  if (verdict.metric > kCostRegressionPct) {
     verdict.fired = true;
     verdict.reason =
         StrCat("window bill ", FormatNanodollars(signals.cost_per_request_nanos),
@@ -73,32 +99,17 @@ DetectorVerdict CostRegressionDetector::Evaluate(const DetectorSignals& signals)
   return verdict;
 }
 
-DetectorVerdict ColdNodePressureDetector::Evaluate(const DetectorSignals& signals) const {
+DetectorVerdict DetectColdNodePressure(const DetectorSignals& signals) {
   DetectorVerdict verdict;
   verdict.metric = static_cast<double>(signals.spawn_queue_peak);
-  verdict.threshold = static_cast<double>(queue_threshold_);
+  verdict.threshold = static_cast<double>(kSpawnQueuePressureThreshold);
   // Node samples, not traces, carry this signal -- no window gate: a cluster
   // too saturated to complete traces is exactly when this must fire.
-  if (signals.spawn_queue_peak >= queue_threshold_) {
+  if (signals.spawn_queue_peak >= kSpawnQueuePressureThreshold) {
     verdict.fired = true;
     verdict.reason = StrCat("spawn queue peaked at ", signals.spawn_queue_peak,
                             " waiting container(s) this window (", signals.provisioning_nodes,
                             " node(s) still provisioning)");
-  }
-  return verdict;
-}
-
-DetectorVerdict ColdStartSurgeDetector::Evaluate(const DetectorSignals& signals) const {
-  DetectorVerdict verdict;
-  verdict.threshold = share_threshold_;
-  if (signals.window == nullptr) {
-    return verdict;
-  }
-  verdict.metric = signals.window->cold_start.share;
-  if (verdict.metric > share_threshold_) {
-    verdict.fired = true;
-    verdict.reason = StrCat("cold starts take ", FormatDouble(100.0 * verdict.metric, 1),
-                            "% of end-to-end latency this window");
   }
   return verdict;
 }

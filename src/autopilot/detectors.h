@@ -1,15 +1,15 @@
 // Drift and SLO detectors for the autopilot control loop (§4.9).
 //
 // A detector looks at one profile window's signals for one workflow and
-// votes: is the live deployment still the right one? Detectors are pure --
-// hysteresis (N consecutive firing windows) and cooldowns live in the
-// autopilot, so a detector can be unit-tested from a hand-built snapshot.
+// votes: is the live deployment still the right one? Detectors are pure
+// functions with fixed thresholds -- hysteresis (N consecutive firing
+// windows) and cooldowns live in the autopilot, so a detector can be
+// unit-tested from a hand-built snapshot.
 #ifndef SRC_AUTOPILOT_DETECTORS_H_
 #define SRC_AUTOPILOT_DETECTORS_H_
 
-#include <memory>
+#include <array>
 #include <string>
-#include <vector>
 
 #include "src/tracing/resource_monitor.h"
 
@@ -55,95 +55,54 @@ struct DetectorVerdict {
   std::string reason;      // Filled when fired.
 };
 
-class Detector {
- public:
-  virtual ~Detector() = default;
-  virtual const char* name() const = 0;
-  virtual AdaptationAction action() const = 0;
-  virtual DetectorVerdict Evaluate(const DetectorSignals& signals) const = 0;
-};
-
 // Merged containers getting OOM-killed: the profile under-estimated memory.
-// This is the one detector that trips a direct rollback (§8) -- a canary of
-// a new plan would keep the misbehaving version serving meanwhile.
-class OomKillDetector : public Detector {
- public:
-  explicit OomKillDetector(int64_t threshold) : threshold_(threshold) {}
-  const char* name() const override { return "oom-kill"; }
-  AdaptationAction action() const override { return AdaptationAction::kRollback; }
-  DetectorVerdict Evaluate(const DetectorSignals& signals) const override;
+// Fires at >= 1 kill since deploy. This is the one detector that trips a
+// direct rollback (§8) -- a canary of a new plan would keep the misbehaving
+// version serving meanwhile.
+DetectorVerdict DetectOomKill(const DetectorSignals& signals);
 
- private:
-  int64_t threshold_;  // Kills since deploy that trip.
-};
+// Window p99 regressed against the promoted plan's deploy-time baseline:
+// fires when p99 > baseline * 1.5.
+DetectorVerdict DetectP99Regression(const DetectorSignals& signals);
 
-// Window p99 regressed against the promoted plan's deploy-time baseline.
-class P99RegressionDetector : public Detector {
- public:
-  explicit P99RegressionDetector(double regression_pct) : regression_pct_(regression_pct) {}
-  const char* name() const override { return "p99-regression"; }
-  AdaptationAction action() const override { return AdaptationAction::kReoptimize; }
-  DetectorVerdict Evaluate(const DetectorSignals& signals) const override;
+// Observed conditional-invocation fallbacks exceed the deployed budgets: the
+// workload's call frequencies drifted from the profiled alphas. Fires when
+// fallback/budget reaches 0.25.
+DetectorVerdict DetectAlphaDrift(const DetectorSignals& signals);
 
- private:
-  double regression_pct_;  // Fire when p99 > baseline * (1 + pct).
-};
-
-// Observed conditional-invocation fallbacks exceed the deployed budgets:
-// the workload's call frequencies drifted from the profiled alphas.
-class AlphaDriftDetector : public Detector {
- public:
-  explicit AlphaDriftDetector(double ratio_threshold) : ratio_threshold_(ratio_threshold) {}
-  const char* name() const override { return "alpha-drift"; }
-  AdaptationAction action() const override { return AdaptationAction::kReoptimize; }
-  DetectorVerdict Evaluate(const DetectorSignals& signals) const override;
-
- private:
-  double ratio_threshold_;  // Fire when fallback/budget reaches this.
-};
-
-// Cold starts dominating the window: scale or grouping no longer matches
-// the arrival pattern.
-class ColdStartSurgeDetector : public Detector {
- public:
-  explicit ColdStartSurgeDetector(double share_threshold) : share_threshold_(share_threshold) {}
-  const char* name() const override { return "cold-start-surge"; }
-  AdaptationAction action() const override { return AdaptationAction::kReoptimize; }
-  DetectorVerdict Evaluate(const DetectorSignals& signals) const override;
-
- private:
-  double share_threshold_;  // Fire when cold-start share of e2e exceeds this.
-};
+// Cold starts dominating the window: scale or grouping no longer matches the
+// arrival pattern. Fires when the cold-start share of e2e exceeds 0.5.
+DetectorVerdict DetectColdStartSurge(const DetectorSignals& signals);
 
 // Billed $/request regressed against the post-promote baseline: the promoted
 // plan (or the workload under it) got more expensive than what the canary
 // verdict approved, so the decision is worth re-running with fresh prices.
-class CostRegressionDetector : public Detector {
- public:
-  explicit CostRegressionDetector(double regression_pct) : regression_pct_(regression_pct) {}
-  const char* name() const override { return "cost-regression"; }
-  AdaptationAction action() const override { return AdaptationAction::kReoptimize; }
-  DetectorVerdict Evaluate(const DetectorSignals& signals) const override;
-
- private:
-  double regression_pct_;  // Fire when $/request > baseline * (1 + pct).
-};
+// Fires when $/request > baseline * 1.5.
+DetectorVerdict DetectCostRegression(const DetectorSignals& signals);
 
 // Container spawns piling up behind cold nodes: the fleet (static or
 // elastic) is not absorbing placement pressure, so request latency is about
 // to pay for queued capacity. Worth re-running the decision -- a tighter
-// grouping packs the same workflow into fewer containers.
-class ColdNodePressureDetector : public Detector {
- public:
-  explicit ColdNodePressureDetector(int64_t queue_threshold)
-      : queue_threshold_(queue_threshold) {}
-  const char* name() const override { return "cold-node-pressure"; }
-  AdaptationAction action() const override { return AdaptationAction::kReoptimize; }
-  DetectorVerdict Evaluate(const DetectorSignals& signals) const override;
+// grouping packs the same workflow into fewer containers. Fires when the
+// window's spawn-queue peak reaches 8.
+DetectorVerdict DetectColdNodePressure(const DetectorSignals& signals);
 
- private:
-  int64_t queue_threshold_;  // Fire when the window's spawn-queue peak reaches this.
+struct DetectorEntry {
+  const char* name;
+  AdaptationAction action;
+  DetectorVerdict (*evaluate)(const DetectorSignals&);
 };
+
+// Fixed order: the safety trip first, then the reoptimize detectors. The
+// first detector that trips on a tick wins it.
+inline constexpr std::array<DetectorEntry, 6> kDetectors = {{
+    {"oom-kill", AdaptationAction::kRollback, DetectOomKill},
+    {"p99-regression", AdaptationAction::kReoptimize, DetectP99Regression},
+    {"alpha-drift", AdaptationAction::kReoptimize, DetectAlphaDrift},
+    {"cold-start-surge", AdaptationAction::kReoptimize, DetectColdStartSurge},
+    {"cost-regression", AdaptationAction::kReoptimize, DetectCostRegression},
+    {"cold-node-pressure", AdaptationAction::kReoptimize, DetectColdNodePressure},
+}};
 
 }  // namespace quilt
 

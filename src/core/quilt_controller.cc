@@ -38,10 +38,9 @@ QuiltController::QuiltController(Simulation* sim, Platform* platform, Controller
       options_status_(options.Validate()),
       compile_service_(options.compile),
       decision_engine_(options.decision),
-      tracer_(sim, &span_store_),
       metrics_store_(),
       monitor_(sim, &metrics_store_, [platform] { return platform->SampleResources(); }) {
-  platform_->ConnectTracer(&tracer_);
+  platform_->ConnectSpanStore(&span_store_);
   // The same sampling tick also snapshots per-node utilization/stranding
   // (empty while the platform runs the infinite pool).
   monitor_.set_node_source([platform] { return platform->SampleNodes(); });
@@ -197,11 +196,9 @@ void QuiltController::StartProfiling() {
 void QuiltController::StopProfiling() {
   platform_->SetProfiling(false);
   monitor_.Stop();
-  tracer_.Flush();
 }
 
 Result<CallGraph> QuiltController::BuildCallGraph(const std::string& root_handle) {
-  tracer_.Flush();
   const std::vector<Span> spans = span_store_.Query(profile_window_start_, sim_->now() + 1);
   return BuildCallGraphFromTraces(spans, metrics_store_.Aggregate(), root_handle);
 }
@@ -220,7 +217,6 @@ Result<MergeSolution> QuiltController::DecideWithTrigger(const CallGraph& graph,
   if (options_.cost.cost_weight < 1.0) {
     PlanCostInputs inputs;
     inputs.profile = options_.cost.profile;
-    tracer_.Flush();
     inputs.exec_seconds = MeanExecSecondsBySpan(
         span_store_.Query(profile_window_start_, sim_->now() + 1));
     problem.cost = BuildPlanCostModel(graph, inputs);
@@ -816,15 +812,13 @@ Status QuiltController::DeployContainerMerge(const WorkflowApp& app, double memo
   spec.container.eager_libs = 43 * static_cast<int>(app.functions.size());
   spec.container.lazy_libs = 0;
   // Internal gateway + the root function's resident process.
-  spec.container.base_memory_mb =
-      10.0 + platform_->config().runtime.cm_process_base_mb;
+  spec.container.base_memory_mb = 10.0 + kCmProcessBaseMb;
   spec.behavior.merged = std::move(merged);
   return platform_->UpdateFunction(std::move(spec));
 }
 
 std::vector<Trace> MetricsView::CollectTraces() {
   QuiltController& c = *controller_;
-  c.tracer_.Flush();
   return AssembleTraces(c.span_store_.Query(c.profile_window_start_, c.sim_->now() + 1));
 }
 

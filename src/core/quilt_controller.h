@@ -39,8 +39,8 @@
 #include "src/quiltc/compile_service.h"
 #include "src/tracing/call_graph_builder.h"
 #include "src/tracing/resource_monitor.h"
+#include "src/tracing/span_store.h"
 #include "src/tracing/trace_assembler.h"
-#include "src/tracing/tracer.h"
 
 namespace quilt {
 
@@ -216,12 +216,8 @@ class QuiltController {
   const Status& options_status() const { return options_status_; }
 
   Platform* platform() { return platform_; }
-  // Store queries go through the exporter flush first: a span recorded
-  // within one batch interval of the query must not be invisible.
-  SpanStore* span_store() {
-    tracer_.Flush();
-    return &span_store_;
-  }
+  // Every traced invocation appends its span here when it answers.
+  SpanStore* span_store() { return &span_store_; }
   MetricsStore* metrics_store() { return &metrics_store_; }
   const MetricsStore* metrics_store() const { return &metrics_store_; }
   // The decision stage behind every plan; configured by options().decision.
@@ -270,7 +266,6 @@ class QuiltController {
   DecisionEngine decision_engine_;
 
   SpanStore span_store_;
-  Tracer tracer_;
   MetricsStore metrics_store_;
   ResourceMonitor monitor_;
   SimTime profile_window_start_ = 0;
@@ -333,10 +328,8 @@ class MetricsView {
  public:
   explicit MetricsView(QuiltController* controller) : controller_(controller) {}
 
-  // Assembles the profile window's spans into per-request trace trees.
-  // Flushes the exporter first, so the result is deterministic regardless of
-  // where the batch timer stood when the run ended. A window query, not a
-  // drain: repeated calls see the same traces.
+  // Assembles the profile window's spans into per-request trace trees. A
+  // window query, not a drain: repeated calls see the same traces.
   std::vector<Trace> CollectTraces();
   // Latency decomposition percentiles for one workflow over the window;
   // the summary is also appended to the MetricsStore. Status is typed so

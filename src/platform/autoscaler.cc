@@ -28,9 +28,6 @@ Status AutoscalerOptions::Validate() const {
   if (evaluate_interval <= 0) {
     return InvalidArgumentError("autoscaler.evaluate_interval must be positive");
   }
-  if (scale_up_ticks < 1) {
-    return InvalidArgumentError("autoscaler.scale_up_ticks must be >= 1");
-  }
   if (provisioning_delay < 0) {
     return InvalidArgumentError("autoscaler.provisioning_delay must not be negative");
   }
@@ -76,16 +73,11 @@ void NodeAutoscaler::Tick() {
   }
   ++ticks_;
   DrainAndRetire();
-  const int64_t queue_depth = platform_->SpawnQueueDepth();
-  if (queue_depth > 0) {
+  if (platform_->SpawnQueueDepth() > 0) {
     surplus_ticks_ = 0;
     window_busy_peak_ = 0;
-    if (++pressured_ticks_ >= options_.scale_up_ticks) {
-      ScaleUp(queue_depth);
-      pressured_ticks_ = 0;
-    }
+    ScaleUp();
   } else {
-    pressured_ticks_ = 0;
     // Never drain while capacity is still booting: the in-flight provision
     // exists because of recent pressure, and racing it would flap the fleet.
     if (platform_->placement().ProvisioningNodes() == 0) {
@@ -114,7 +106,7 @@ void NodeAutoscaler::DrainAndRetire() {
   }
 }
 
-void NodeAutoscaler::ScaleUp(int64_t queue_depth) {
+void NodeAutoscaler::ScaleUp() {
   const PlacementEngine& placement = platform_->placement();
   const Platform::SpawnDemand demand = platform_->QueuedSpawnDemand();
   // The queue may be observed before same-instant drain events run, so count
@@ -171,7 +163,6 @@ void NodeAutoscaler::ScaleUp(int64_t queue_depth) {
       });
     }
   }
-  (void)queue_depth;
 }
 
 void NodeAutoscaler::MaybeScaleDown() {

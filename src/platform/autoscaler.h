@@ -3,9 +3,9 @@
 // PR 8 made the fleet finite and PR 9 priced it: a static `max_nodes` fleet
 // either strands capacity under phased load (paid-but-idle node dollars) or
 // saturates (spawn-queue deferrals). This closes the loop. Scale-up is driven
-// by placement pressure -- the spawn-queue depth and its aggregate resource
-// demand observed over a hysteresis window of evaluation ticks -- and pays a
-// configurable provisioning delay per cold node. Scale-down picks drain
+// by placement pressure -- every evaluation tick that finds spawns queued
+// provisions for their aggregate resource demand -- and pays a configurable
+// provisioning delay per cold node. Scale-down picks drain
 // candidates (fewest containers, lowest node id tie-break), cordons them in
 // the PlacementEngine so PickNode skips them, waits out or retires resident
 // idle containers via the existing retire path, and retires the node.
@@ -33,8 +33,9 @@ namespace quilt {
 class Platform;
 
 // Knobs for the elastic node pool. Defaults are conservative: a quarter-second
-// control loop, one pressured tick to scale up (capacity is the scarce
-// resource), eight idle ticks (~2s) before draining a surplus node.
+// control loop, eight idle ticks (~2s) before draining a surplus node. Every
+// tick that finds the spawn queue non-empty scales up (capacity is the scarce
+// resource).
 struct AutoscalerOptions {
   bool enabled = false;
   // Fleet floor: nodes provisioned (ready) at Start and never drained below.
@@ -46,8 +47,6 @@ struct AutoscalerOptions {
   int warm_pool = 0;
   // Control-loop tick.
   SimDuration evaluate_interval = Milliseconds(250);
-  // Consecutive pressured ticks (spawn queue non-empty) before provisioning.
-  int scale_up_ticks = 1;
   // Cold-node boot time: a provisioned node becomes placeable this much later.
   SimDuration provisioning_delay = Seconds(1);
   // Consecutive surplus ticks before cordoning one drain candidate.
@@ -102,7 +101,7 @@ class NodeAutoscaler {
   // retire path) and retires the ones that emptied.
   void DrainAndRetire();
   // Provisions (or uncordons) enough nodes to absorb the queued demand.
-  void ScaleUp(int64_t queue_depth);
+  void ScaleUp();
   // Cordons one drain candidate when the ready fleet exceeds the busy set
   // plus the warm pool for long enough.
   void MaybeScaleDown();
@@ -113,7 +112,6 @@ class NodeAutoscaler {
   AutoscalerOptions options_;
   bool running_ = false;
   int64_t ticks_ = 0;
-  int pressured_ticks_ = 0;
   int surplus_ticks_ = 0;
   // Peak BusyNodes() observed across the current surplus window. Busy counts
   // sampled at tick instants are twitchy (requests are short relative to the

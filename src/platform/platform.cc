@@ -8,6 +8,51 @@
 
 namespace quilt {
 
+namespace {
+
+// Fixed platform costs (cluster: 1 Gbps, ~200us RTT, §7.1).
+constexpr SimDuration kNetworkRtt = Microseconds(200);
+constexpr SimDuration kGatewayOverhead = Microseconds(2400);
+constexpr SimDuration kIngressOverhead = Microseconds(150);
+
+// Router address-cache behavior: requests arriving after the cache went stale
+// pay the executor/poolmgr specialization path. This reproduces Fission's
+// counter-intuitive "median latency decreases as load increases" effect
+// (§7.3.2, §7.5.1).
+constexpr SimDuration kRouteCacheTtl = Milliseconds(500);
+constexpr SimDuration kRouteStalePenalty = Microseconds(1200);
+
+// Cold starts (§2): base sandbox setup + image fetch + eager shared-lib
+// loading.
+constexpr SimDuration kColdStartBase = Milliseconds(80);
+constexpr double kImageFetchMsPerMb = 5.0;
+constexpr SimDuration kEagerLibLoadPerLib = Microseconds(110);
+
+// Fission-style packing: a container accepts more concurrent requests until
+// its CPU utilization crosses this fraction of its quota, and never more than
+// this many at once.
+constexpr double kContainerUtilizationThreshold = 0.8;
+constexpr int kMaxRequestsPerContainer = 100;
+
+// Retry backoffs are scaled by a factor drawn from [1 - jitter, 1 + jitter].
+constexpr double kRetryJitter = 0.2;
+
+// The checks every new or replacement version of a deployment must pass.
+Status CheckSpec(const DeploymentSpec& spec) {
+  if (!spec.behavior.valid()) {
+    return InvalidArgumentError(StrCat("deployment '", spec.handle,
+                                       "' must have exactly one behavior"));
+  }
+  if (spec.max_scale < 1) {
+    // A version that may never run a replica would queue its requests forever.
+    return InvalidArgumentError(StrCat("deployment '", spec.handle,
+                                       "' needs max_scale >= 1, got ", spec.max_scale));
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
 Status PlatformConfig::Validate() const {
   if (max_nodes < 0) {
     return InvalidArgumentError("max_nodes must be >= 0 (0 = infinite pool)");
@@ -17,23 +62,14 @@ Status PlatformConfig::Validate() const {
         "a finite fleet (max_nodes > 0 or the autoscaler) requires positive node_cpu and "
         "node_memory_mb");
   }
-  if (container_utilization_threshold <= 0.0 || container_utilization_threshold > 1.0) {
-    return InvalidArgumentError("container_utilization_threshold must be in (0, 1]");
-  }
   if (memory_admission_threshold <= 0.0 || memory_admission_threshold > 1.0) {
     return InvalidArgumentError("memory_admission_threshold must be in (0, 1]");
-  }
-  if (max_requests_per_container < 1) {
-    return InvalidArgumentError("max_requests_per_container must be >= 1");
   }
   if (invocation_timeout < 0) {
     return InvalidArgumentError("invocation_timeout must not be negative");
   }
   if (retry.max_attempts < 1) {
     return InvalidArgumentError("retry.max_attempts must be >= 1");
-  }
-  if (retry.jitter < 0.0 || retry.jitter > 1.0) {
-    return InvalidArgumentError("retry.jitter must be in [0, 1]");
   }
   if (retry.initial_backoff < 0 || retry.max_backoff < 0) {
     return InvalidArgumentError("retry backoffs must not be negative");
@@ -134,10 +170,7 @@ Status Platform::Deploy(DeploymentSpec spec) {
   if (spec.handle.empty()) {
     return InvalidArgumentError("deployment needs a handle");
   }
-  if (!spec.behavior.valid()) {
-    return InvalidArgumentError(StrCat("deployment '", spec.handle,
-                                       "' must have exactly one behavior"));
-  }
+  QUILT_RETURN_IF_ERROR(CheckSpec(spec));
   const HandleId id = InternHandle(spec.handle);
   if (deployments_[static_cast<size_t>(id)] != nullptr) {
     return AlreadyExistsError(StrCat("function '", spec.handle, "' already deployed"));
@@ -159,9 +192,7 @@ Status Platform::UpdateFunction(DeploymentSpec spec) {
   if (dep == nullptr) {
     return NotFoundError(StrCat("function '", spec.handle, "' not deployed"));
   }
-  if (!spec.behavior.valid()) {
-    return InvalidArgumentError("updated deployment must have exactly one behavior");
-  }
+  QUILT_RETURN_IF_ERROR(CheckSpec(spec));
   // A full update supersedes any canary experiment in flight: the canary and
   // the old control stop serving at once, so the version-change step runs
   // once, for the new version (never spawning for the one it replaces).
@@ -177,9 +208,7 @@ Status Platform::StageCanary(DeploymentSpec spec, double fraction) {
   if (dep == nullptr) {
     return NotFoundError(StrCat("function '", spec.handle, "' not deployed"));
   }
-  if (!spec.behavior.valid()) {
-    return InvalidArgumentError("canary deployment must have exactly one behavior");
-  }
+  QUILT_RETURN_IF_ERROR(CheckSpec(spec));
   if (fraction <= 0.0 || fraction > 1.0) {
     return InvalidArgumentError(StrCat("canary fraction must be in (0, 1], got ",
                                        FormatDouble(fraction, 3)));
@@ -604,10 +633,10 @@ void Platform::Invoke(InvokeRequest&& request) {
   // Request path: serialize -> network -> (ingress) -> gateway. Paid once
   // per attempt; the span is recorded once per logical invocation, when the
   // response is delivered back to the caller.
-  SimDuration request_path = config_.serialize_latency + config_.network_rtt / 2;
+  SimDuration request_path = config_.serialize_latency + kNetworkRtt / 2;
   auto ctx = std::make_shared<CallContext>();
-  if (config_.profiling_enabled && tracer_ != nullptr) {
-    request_path += config_.ingress_overhead;
+  if (config_.profiling_enabled && span_store_ != nullptr) {
+    request_path += kIngressOverhead;
     ctx->traced = true;
     Span& span = ctx->span;
     // Trace identity: nested invocations inherit the root request's trace
@@ -621,7 +650,7 @@ void Platform::Invoke(InvokeRequest&& request) {
     span.async = request.async;
     span.timestamp = sim_->now();
   }
-  request_path += config_.gateway_overhead;
+  request_path += kGatewayOverhead;
 
   // Intern the callee once; every later lookup on this invocation's path is
   // an integer index (see DeploymentAt).
@@ -630,11 +659,10 @@ void Platform::Invoke(InvokeRequest&& request) {
   ctx->async = request.async;
   ctx->request_path = request_path;
   // Response path: gateway -> network -> deserialize at the caller.
-  ctx->response_path =
-      config_.gateway_overhead + config_.network_rtt / 2 + config_.serialize_latency;
+  ctx->response_path = kGatewayOverhead + kNetworkRtt / 2 + config_.serialize_latency;
   ctx->done = std::move(request.done);
   // Request-leg segment costs; every retry attempt pays them again.
-  ctx->attempt_network = config_.serialize_latency + config_.network_rtt / 2;
+  ctx->attempt_network = config_.serialize_latency + kNetworkRtt / 2;
   ctx->attempt_gateway = request_path - ctx->attempt_network;
   BeginAttempt(std::move(ctx));
 }
@@ -642,8 +670,8 @@ void Platform::Invoke(InvokeRequest&& request) {
 void Platform::Respond(const std::shared_ptr<CallContext>& ctx, Result<Json> result) {
   if (ctx->traced) {
     // Response leg: paid once, by whichever attempt settles the call.
-    ctx->span.network_ns += config_.network_rtt / 2 + config_.serialize_latency;
-    ctx->span.gateway_ns += config_.gateway_overhead;
+    ctx->span.network_ns += kNetworkRtt / 2 + config_.serialize_latency;
+    ctx->span.gateway_ns += kGatewayOverhead;
   }
   sim_->Schedule(ctx->response_path, [this, ctx, result = std::move(result)]() mutable {
     FinishSpan(*ctx, result.status());
@@ -652,14 +680,14 @@ void Platform::Respond(const std::shared_ptr<CallContext>& ctx, Result<Json> res
 }
 
 void Platform::FinishSpan(CallContext& ctx, const Status& status) {
-  if (!ctx.traced || tracer_ == nullptr) {
+  if (!ctx.traced || span_store_ == nullptr) {
     return;
   }
   Span& span = ctx.span;
   span.end_time = sim_->now();
   span.attempts = ctx.attempt;
   span.status = ClassifySpanStatus(ctx, status);
-  tracer_->Record(span);
+  span_store_->Add(span);
 }
 
 SpanStatus Platform::ClassifySpanStatus(const CallContext& ctx, const Status& status) {
@@ -822,10 +850,7 @@ void Platform::OnAttemptResult(const std::shared_ptr<CallContext>& ctx, Result<J
   double backoff_ns = static_cast<double>(config_.retry.initial_backoff) *
                       std::pow(config_.retry.backoff_multiplier, ctx->attempt - 1);
   backoff_ns = std::min(backoff_ns, static_cast<double>(config_.retry.max_backoff));
-  if (config_.retry.jitter > 0.0) {
-    const double jitter = config_.retry.jitter;
-    backoff_ns *= failure_rng_.UniformDouble(1.0 - jitter, 1.0 + jitter);
-  }
+  backoff_ns *= failure_rng_.UniformDouble(1.0 - kRetryJitter, 1.0 + kRetryJitter);
   if (dep != nullptr) {
     ++dep->stats.retries;
   }
@@ -920,8 +945,8 @@ bool Platform::Deployment::HasQueued(int64_t v) const {
 SimDuration Platform::ColdStartDelay(const DeploymentSpec& spec) const {
   const double image_mb =
       static_cast<double>(spec.container.image_size_bytes) / (1024.0 * 1024.0);
-  return config_.cold_start_base + Milliseconds(image_mb * config_.image_fetch_ms_per_mb) +
-         config_.eager_lib_load_per_lib * spec.container.eager_libs;
+  return kColdStartBase + Milliseconds(image_mb * kImageFetchMsPerMb) +
+         kEagerLibLoadPerLib * spec.container.eager_libs;
 }
 
 namespace {
@@ -950,7 +975,7 @@ std::shared_ptr<Container> Platform::SelectContainer(Deployment& dep, int64_t ve
   // set: when a deep backlog drains, each admission used to sneak in just
   // under the threshold and collectively push the pod far past it.
   const double footprint_mb = RequestFootprintMb(spec);
-  int inflight_cap = config_.max_requests_per_container;
+  int inflight_cap = kMaxRequestsPerContainer;
   if (spec.max_concurrent_requests > 0) {
     inflight_cap = std::min(inflight_cap, spec.max_concurrent_requests);
   }
@@ -965,7 +990,7 @@ std::shared_ptr<Container> Platform::SelectContainer(Deployment& dep, int64_t ve
     // Fission packs instances into a container until its CPU utilization
     // crosses the threshold.
     const double used = container->cpu().cpu_in_use();
-    if (used >= config_.container_utilization_threshold * container->config().cpu_limit) {
+    if (used >= kContainerUtilizationThreshold * container->config().cpu_limit) {
       continue;
     }
     if (container->memory_in_use_mb() + footprint_mb >=
@@ -1029,11 +1054,8 @@ int64_t Platform::AssignVersion(Deployment& dep) {
 void Platform::RouteRequest(Deployment& dep, std::shared_ptr<CallContext> ctx, int attempt) {
   // Router address-cache staleness penalty.
   SimDuration penalty = 0;
-  if (dep.last_routed >= 0 && sim_->now() - dep.last_routed > config_.route_cache_ttl) {
-    penalty = config_.route_stale_penalty;
-    ++dep.stats.stale_route_hits;
-  } else if (dep.last_routed < 0) {
-    penalty = config_.route_stale_penalty;
+  if (dep.last_routed < 0 || sim_->now() - dep.last_routed > kRouteCacheTtl) {
+    penalty = kRouteStalePenalty;
     ++dep.stats.stale_route_hits;
   }
   dep.last_routed = sim_->now();
@@ -1190,8 +1212,7 @@ void Platform::RemoveReplica(Deployment& dep, std::shared_ptr<Container> contain
 }
 
 void Platform::EnsureReplica(Deployment& dep, int64_t version) {
-  if (!dep.IsLive(version) || dep.SpecFor(version).max_scale < 1 ||
-      dep.LiveReplicas(version) > 0 || !dep.HasQueued(version)) {
+  if (!dep.IsLive(version) || dep.LiveReplicas(version) > 0 || !dep.HasQueued(version)) {
     return;
   }
   for (const auto& [id, parked] : spawn_queue_) {

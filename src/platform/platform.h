@@ -28,7 +28,7 @@
 #include "src/sim/container.h"
 #include "src/sim/simulation.h"
 #include "src/tracing/resource_monitor.h"
-#include "src/tracing/tracer.h"
+#include "src/tracing/span_store.h"
 
 namespace quilt {
 
@@ -36,16 +36,14 @@ namespace quilt {
 // attempt, no retries. A retry is attempted only for *transient* failures
 // (kUnavailable, kDeadlineExceeded, kAborted) and only when the call is
 // async or the callee deployment declares itself idempotent -- re-running a
-// non-idempotent handler is never safe.
+// non-idempotent handler is never safe. Each backoff is scaled by a uniform
+// jitter factor in [0.8, 1.2] drawn from the platform's seeded failure Rng,
+// so retry storms decorrelate but runs stay reproducible.
 struct RetryPolicy {
   int max_attempts = 1;  // Total attempts; 1 = retries disabled.
   SimDuration initial_backoff = Milliseconds(10);
   double backoff_multiplier = 2.0;
   SimDuration max_backoff = Seconds(2);
-  // Uniform jitter fraction: the backoff is scaled by a factor drawn from
-  // [1 - jitter, 1 + jitter] using the platform's seeded failure Rng, so
-  // retry storms decorrelate but runs stay reproducible.
-  double jitter = 0.2;
 
   bool enabled() const { return max_attempts > 1; }
 };
@@ -67,35 +65,18 @@ struct CircuitBreakerConfig {
 };
 
 struct PlatformConfig {
-  // Network and message costs (cluster: 1 Gbps, ~200us RTT, §7.1).
-  SimDuration network_rtt = Microseconds(200);
+  // Message serialization cost per hop. The fixed platform costs (the ~200us
+  // RTT of §7.1, gateway and ingress hops, router cache, cold starts and
+  // Fission's packing limits) are constants in platform.cc.
   SimDuration serialize_latency = Microseconds(60);
-  SimDuration gateway_overhead = Microseconds(2400);
-  SimDuration ingress_overhead = Microseconds(150);
 
-  // Router address-cache behavior: requests arriving after the cache went
-  // stale pay the executor/poolmgr specialization path. This reproduces
-  // Fission's counter-intuitive "median latency decreases as load increases"
-  // effect (§7.3.2, §7.5.1).
-  SimDuration route_cache_ttl = Milliseconds(500);
-  SimDuration route_stale_penalty = Microseconds(1200);
-
-  // Cold starts (§2): base sandbox setup + image fetch + eager shared-lib
-  // loading.
-  SimDuration cold_start_base = Milliseconds(80);
-  double image_fetch_ms_per_mb = 5.0;
-  SimDuration eager_lib_load_per_lib = Microseconds(110);
-
-  // Fission-style packing: a container accepts more concurrent requests
-  // until its CPU utilization crosses this fraction of its quota.
-  double container_utilization_threshold = 0.8;
-  // ... or until its memory utilization crosses this fraction (the router
-  // stops handing requests to pods already close to their memory limit).
-  // The check is footprint-aware: a request is admitted only if the pod
-  // stays under the threshold *with* the request's declared working set,
-  // so draining a deep backlog cannot push the pod past it.
+  // A container accepts more concurrent requests until its CPU utilization
+  // crosses 80% of its quota, or until its memory utilization crosses this
+  // fraction (the router stops handing requests to pods already close to
+  // their memory limit). The check is footprint-aware: a request is admitted
+  // only if the pod stays under the threshold *with* the request's declared
+  // working set, so draining a deep backlog cannot push the pod past it.
   double memory_admission_threshold = 0.8;
-  int max_requests_per_container = 100;
 
   // --- Worker-node model (§4, live). This is the one place the fleet is
   // configured. max_nodes == 0 with the autoscaler off keeps the seed
@@ -137,9 +118,9 @@ struct PlatformConfig {
   PricingProfile pricing;
 
   // Typed validation of the knob surface: rejects a finite or elastic fleet
-  // with non-positive node geometry, out-of-range thresholds, retry and
-  // breaker values, negative autoscaler windows, and enabling both the static
-  // fleet and the autoscaler at once.
+  // with non-positive node geometry, an out-of-range memory threshold, retry
+  // and breaker values, negative autoscaler windows, and enabling both the
+  // static fleet and the autoscaler at once.
   // The Platform constructor calls this and surfaces the error from Deploy/
   // UpdateFunction/Invoke instead of silently misbehaving.
   Status Validate() const;
@@ -203,8 +184,9 @@ class Platform : public Invoker {
   Platform(const Platform&) = delete;
   Platform& operator=(const Platform&) = delete;
 
-  // Attaches the tracing pipeline (required before enabling profiling).
-  void ConnectTracer(Tracer* tracer) { tracer_ = tracer; }
+  // Attaches the span store traced invocations append to (required before
+  // enabling profiling).
+  void ConnectSpanStore(SpanStore* store) { span_store_ = store; }
 
   Status Deploy(DeploymentSpec spec);
   // Replaces an existing function with a new image/behavior; in-flight
@@ -468,13 +450,14 @@ class Platform : public Invoker {
   void RecordAttemptOutcome(Deployment& dep, const Status& status);
   void OpenBreaker(Deployment& dep);
 
-  // Finalizes and records the invocation's span at response delivery.
+  // Finalizes the invocation's span at response delivery and appends it to
+  // the span store.
   void FinishSpan(CallContext& ctx, const Status& status);
   static SpanStatus ClassifySpanStatus(const CallContext& ctx, const Status& status);
 
   Simulation* sim_;
   PlatformConfig config_;
-  Tracer* tracer_ = nullptr;
+  SpanStore* span_store_ = nullptr;
   FaultInjector injector_;
   Rng failure_rng_;  // Retry-backoff jitter; independent of injection draws.
   // Handle intern table shared by deployments; deployments_ is a dense side

@@ -11,6 +11,14 @@ namespace quilt {
 
 namespace {
 
+// A localized (merged) call: plain function call + string shuffling.
+constexpr SimDuration kLocalCallOverhead = Nanoseconds(250);
+// Loading one lazy shared library on the first remote call (DelayHTTP).
+constexpr SimDuration kLazyLibLoadPerLib = Microseconds(110);
+// CM internal API gateway: per-call latency and the callee process spawn.
+constexpr SimDuration kCmInternalGateway = Microseconds(550);
+constexpr SimDuration kCmProcessSpawn = Microseconds(650);
+
 // One inbound request: the state every function run it spans shares. The
 // environment, the deployed behavior (which keeps the running functions
 // alive), the payload and the consumed conditional-invocation budgets (§5.6).
@@ -246,7 +254,7 @@ class FunctionRun : public std::enable_shared_from_this<FunctionRun> {
       // the deferred HTTP-stack load if this is the container's first remote
       // call (DelayHTTP + Implib wrapping).
       const SimDuration lazy =
-          env_.container->ConsumeLazyHttpLoad(env_.costs->lazy_lib_load_per_lib);
+          env_.container->ConsumeLazyHttpLoad(kLazyLibLoadPerLib);
       auto self = shared_from_this();
       env_.sim->Schedule(lazy, [self, callee, async, cb = std::move(cb)]() mutable {
         self->RunRemote(callee, async, std::move(cb));
@@ -272,8 +280,7 @@ class FunctionRun : public std::enable_shared_from_this<FunctionRun> {
     }
     auto self = shared_from_this();
     const FunctionBehavior* callee_behavior = &it->second;
-    env_.sim->Schedule(env_.costs->local_call_overhead, [self, callee_behavior,
-                                                         cb = std::move(cb)]() mutable {
+    env_.sim->Schedule(kLocalCallOverhead, [self, callee_behavior, cb = std::move(cb)]() mutable {
       if (self->Dead()) {
         return;
       }
@@ -297,8 +304,7 @@ class FunctionRun : public std::enable_shared_from_this<FunctionRun> {
       if (self->Dead()) {
         return;
       }
-      const SimDuration overhead =
-          self->env_.costs->cm_internal_gateway + self->env_.costs->cm_process_spawn;
+      const SimDuration overhead = kCmInternalGateway + kCmProcessSpawn;
       self->env_.sim->Schedule(overhead, [self, callee, cb = std::move(cb)]() mutable {
         if (self->Dead()) {
           return;
@@ -311,7 +317,7 @@ class FunctionRun : public std::enable_shared_from_this<FunctionRun> {
         }
         auto run = std::make_shared<FunctionRun>(
             self->request_, &it->second, /*remote_entry=*/true, /*top_level=*/false,
-            /*extra_base_mb=*/self->env_.costs->cm_process_base_mb, std::move(cb));
+            /*extra_base_mb=*/kCmProcessBaseMb, std::move(cb));
         run->Start();
       });
     });

@@ -42,22 +42,20 @@ class Invoker {
   virtual void Invoke(InvokeRequest&& request) = 0;
 };
 
-// Per-call CPU/latency costs of the serverless runtime itself.
+// Per-call CPU costs of the serverless runtime itself. The fixed latencies
+// (local calls, lazy library loads, the CM internal gateway) are constants in
+// executor.cc.
 struct RuntimeCosts {
-  // A localized (merged) call: plain function call + string shuffling.
-  SimDuration local_call_overhead = Nanoseconds(250);
   // Caller-side CPU per remote invocation: JSON serialization + HTTP client.
   double invoke_cpu_ms = 0.12;
   // Callee-side CPU per remote request: HTTP parsing + deserialization, and
   // serializing the response.
   double handler_cpu_ms = 0.15;
-  // Loading one lazy shared library on the first remote call (DelayHTTP).
-  SimDuration lazy_lib_load_per_lib = Microseconds(110);
-  // CM internal API gateway: per-call latency and spawned-process costs.
-  SimDuration cm_internal_gateway = Microseconds(550);
-  SimDuration cm_process_spawn = Microseconds(650);
-  double cm_process_base_mb = 16.0;  // Callee process runtime footprint.
 };
+
+// Runtime footprint of a process the CM internal gateway spawns for a callee;
+// the controller sizes container-merge deployments with it too.
+inline constexpr double kCmProcessBaseMb = 16.0;
 
 // Why a container dies. The platform charges exactly one failure counter
 // per kill based on this reason, so OOM kills and crashes can never be

@@ -8,6 +8,13 @@
 
 namespace quilt {
 
+namespace {
+
+// CFS throttling waste under overcommit (see CpuShare).
+constexpr double kThrottlePenalty = 0.45;
+
+}  // namespace
+
 Container::Container(Simulation* sim, std::string deployment_handle, int64_t id,
                      ContainerConfig config, int64_t version)
     : sim_(sim),
@@ -16,7 +23,7 @@ Container::Container(Simulation* sim, std::string deployment_handle, int64_t id,
       id_(id),
       config_(config),
       created_at_(sim->now()),
-      cpu_(sim, config.cpu_limit, config.throttle_penalty),
+      cpu_(sim, config.cpu_limit, kThrottlePenalty),
       memory_in_use_mb_(config.base_memory_mb),
       peak_memory_mb_(config.base_memory_mb) {}
 

@@ -19,7 +19,6 @@ namespace quilt {
 
 struct ContainerConfig {
   double cpu_limit = 2.0;         // vCPUs.
-  double throttle_penalty = 0.45; // CFS throttling waste (see CpuShare).
   double memory_limit_mb = 128.0;
   double base_memory_mb = 20.0;   // Runtime + shared libs resident at start.
   int64_t image_size_bytes = 0;   // Drives cold-start fetch time.

@@ -8,10 +8,18 @@
 
 namespace quilt {
 
+namespace {
+
+// Labels of a function with no samples in the metrics store.
+constexpr double kDefaultCpu = 0.1;
+constexpr double kDefaultMemoryMb = 16.0;
+
+}  // namespace
+
 Result<CallGraph> BuildCallGraphFromTraces(
     const std::vector<Span>& spans,
     const std::map<std::string, MetricsStore::FunctionUsage>& usage,
-    const std::string& root_handle, const CallGraphBuilderOptions& options) {
+    const std::string& root_handle) {
   // Pass 1: which traces belong to this workflow? A trace is a member iff
   // its root span (parent_span_id == 0) is a client invocation of
   // root_handle. Traces rooted elsewhere -- including other workflows that
@@ -97,11 +105,11 @@ Result<CallGraph> BuildCallGraphFromTraces(
       return id;
     }
     auto it = usage.find(handle);
-    const double cpu = it != usage.end() && it->second.avg_cpu > 0.0 ? it->second.avg_cpu
-                                                                     : options.default_cpu;
+    const double cpu =
+        it != usage.end() && it->second.avg_cpu > 0.0 ? it->second.avg_cpu : kDefaultCpu;
     const double mem = it != usage.end() && it->second.peak_memory_mb > 0.0
                            ? it->second.peak_memory_mb
-                           : options.default_memory_mb;
+                           : kDefaultMemoryMb;
     return graph.AddNode(handle, cpu, mem);
   };
 

@@ -23,12 +23,6 @@
 
 namespace quilt {
 
-struct CallGraphBuilderOptions {
-  // Defaults applied when a function has no samples in the metrics store.
-  double default_cpu = 0.1;
-  double default_memory_mb = 16.0;
-};
-
 // Sync/async edge classification: an edge whose observed calls were async
 // at least half the time is async (exact ties break toward async -- the
 // cheaper assumption for the decision stage, since async alpha admits
@@ -39,11 +33,12 @@ inline bool MajorityAsync(int64_t async_count, int64_t total) {
 
 // `root_handle` identifies the workflow: N = number of traces whose root
 // span is a client invocation of it. Spans without a trace id (legacy
-// producers, hand-built fixtures) fall back to caller-side aggregation.
+// producers, hand-built fixtures) fall back to caller-side aggregation. A
+// function with no samples in `usage` is labeled 0.1 vCPU and 16 MB.
 Result<CallGraph> BuildCallGraphFromTraces(
     const std::vector<Span>& spans,
     const std::map<std::string, MetricsStore::FunctionUsage>& usage,
-    const std::string& root_handle, const CallGraphBuilderOptions& options = {});
+    const std::string& root_handle);
 
 }  // namespace quilt
 

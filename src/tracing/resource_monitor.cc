@@ -6,35 +6,16 @@
 namespace quilt {
 
 void MetricsStore::AddBatch(std::vector<ResourceSample> batch) {
-  pending_samples_.insert(pending_samples_.end(), std::make_move_iterator(batch.begin()),
-                          std::make_move_iterator(batch.end()));
-}
-
-void MetricsStore::FlushSamples() const {
-  if (pending_samples_.empty()) {
-    return;
-  }
-  samples_.reserve(samples_.size() + pending_samples_.size());
-  std::move(pending_samples_.begin(), pending_samples_.end(), std::back_inserter(samples_));
-  pending_samples_.clear();
+  samples_.insert(samples_.end(), std::make_move_iterator(batch.begin()),
+                  std::make_move_iterator(batch.end()));
 }
 
 void MetricsStore::AddNodeBatch(std::vector<NodeSample> batch) {
-  pending_nodes_.insert(pending_nodes_.end(), std::make_move_iterator(batch.begin()),
-                        std::make_move_iterator(batch.end()));
-}
-
-void MetricsStore::FlushNodes() const {
-  if (pending_nodes_.empty()) {
-    return;
-  }
-  node_samples_.reserve(node_samples_.size() + pending_nodes_.size());
-  std::move(pending_nodes_.begin(), pending_nodes_.end(), std::back_inserter(node_samples_));
-  pending_nodes_.clear();
+  node_samples_.insert(node_samples_.end(), std::make_move_iterator(batch.begin()),
+                       std::make_move_iterator(batch.end()));
 }
 
 std::map<std::string, MetricsStore::FunctionUsage> MetricsStore::Aggregate() const {
-  FlushSamples();
   // Latest sample per (handle, container).
   struct Latest {
     double cpu = 0.0;
@@ -79,8 +60,7 @@ void ResourceMonitor::Tick() {
   if (!running_) {
     return;
   }
-  // Each tick hands its whole sample vector to the store as one batch; the
-  // store defers the fold into the long-lived series until somebody reads.
+  // Each tick hands its whole sample vector to the store as one batch.
   store_->AddBatch(source_());
   if (node_source_) {
     store_->AddNodeBatch(node_source_());

@@ -63,10 +63,8 @@ struct WorkflowLatencySummary {
   double overhead_share = 0.0;
 };
 
-// Time-series storage ("InfluxDB"). Writes land in per-run pending buffers
-// (O(1) appends; whole sampler ticks arrive via AddBatch) that are folded
-// into the long-lived series on first read — the growing stores never
-// reallocate on the sampler's hot path, and arrival order is preserved.
+// Time-series storage ("InfluxDB"): append-only series in arrival order.
+// Whole sampler ticks arrive via AddBatch, once per simulated second.
 class MetricsStore {
  public:
   struct FunctionUsage {
@@ -74,21 +72,15 @@ class MetricsStore {
     double peak_memory_mb = 0.0;  // Max container memory seen.
   };
 
-  void Add(ResourceSample sample) { pending_samples_.push_back(std::move(sample)); }
+  void Add(ResourceSample sample) { samples_.push_back(std::move(sample)); }
   // One sampler tick's worth of samples, appended as a unit.
   void AddBatch(std::vector<ResourceSample> batch);
-  const std::vector<ResourceSample>& samples() const {
-    FlushSamples();
-    return samples_;
-  }
+  const std::vector<ResourceSample>& samples() const { return samples_; }
   // Per-worker-node utilization/stranding snapshots (§4, live node model),
   // sampled on the same tick as resources.
-  void AddNode(NodeSample sample) { pending_nodes_.push_back(std::move(sample)); }
+  void AddNode(NodeSample sample) { node_samples_.push_back(std::move(sample)); }
   void AddNodeBatch(std::vector<NodeSample> batch);
-  const std::vector<NodeSample>& node_samples() const {
-    FlushNodes();
-    return node_samples_;
-  }
+  const std::vector<NodeSample>& node_samples() const { return node_samples_; }
   // Decision telemetry (§4): one record per Decide/ReconsiderWorkflow run.
   void AddDecision(DecisionRecord record) { decisions_.push_back(std::move(record)); }
   const std::vector<DecisionRecord>& decisions() const { return decisions_; }
@@ -113,9 +105,7 @@ class MetricsStore {
   const std::vector<CostRecord>& cost_records() const { return cost_records_; }
   void Clear() {
     samples_.clear();
-    pending_samples_.clear();
     node_samples_.clear();
-    pending_nodes_.clear();
     decisions_.clear();
     workflow_latency_.clear();
     adaptations_.clear();
@@ -127,13 +117,8 @@ class MetricsStore {
   std::map<std::string, FunctionUsage> Aggregate() const;
 
  private:
-  void FlushSamples() const;
-  void FlushNodes() const;
-
-  mutable std::vector<ResourceSample> samples_;
-  mutable std::vector<ResourceSample> pending_samples_;
-  mutable std::vector<NodeSample> node_samples_;
-  mutable std::vector<NodeSample> pending_nodes_;
+  std::vector<ResourceSample> samples_;
+  std::vector<NodeSample> node_samples_;
   std::vector<DecisionRecord> decisions_;
   std::vector<WorkflowLatencySummary> workflow_latency_;
   std::vector<AdaptationRecord> adaptations_;

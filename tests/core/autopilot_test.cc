@@ -24,7 +24,6 @@ ControllerOptions FanOutOptions(int threads = 1) {
 
 AutopilotOptions FastPilotOptions() {
   AutopilotOptions options;
-  options.tick_interval = Seconds(5);
   options.min_window_traces = 10;
   options.canary_min_traces = 8;
   options.canary_fraction = 0.3;
@@ -85,6 +84,38 @@ TEST(AutopilotTest, EnrollValidation) {
   EXPECT_EQ(h.pilot.StateOf("ghost").status().code(), StatusCode::kNotFound);
   ASSERT_TRUE(h.pilot.StateOf(kRoot).ok());
   EXPECT_EQ(*h.pilot.StateOf(kRoot), WorkflowState::kRegistered);
+}
+
+TEST(AutopilotTest, InvalidOptionsBlockEnrollAndStart) {
+  struct Row {
+    const char* name;
+    void (*set)(AutopilotOptions& options);
+  };
+  const Row rows[] = {
+      // A guard tick with zero canary traces would divide by zero.
+      {"canary_min_traces = 0", [](AutopilotOptions& o) { o.canary_min_traces = 0; }},
+      {"canary_fraction = 0", [](AutopilotOptions& o) { o.canary_fraction = 0.0; }},
+      {"canary_fraction > 1", [](AutopilotOptions& o) { o.canary_fraction = 1.5; }},
+      {"min_window_traces < 0", [](AutopilotOptions& o) { o.min_window_traces = -1; }},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    AutopilotOptions options = FastPilotOptions();
+    row.set(options);
+    Harness h(FanOutOptions(), {}, options);
+    ASSERT_TRUE(h.controller.RegisterWorkflow(FanOutApp(4)).ok());
+    EXPECT_EQ(h.pilot.Enroll(kRoot).code(), StatusCode::kInvalidArgument);
+    h.pilot.Start();
+    EXPECT_FALSE(h.pilot.running());
+    h.sim.RunUntil(Seconds(30));
+    EXPECT_EQ(h.pilot.ticks(), 0);
+  }
+  // The cost tolerance is free: a negative one demands a cheaper canary.
+  AutopilotOptions options = FastPilotOptions();
+  options.canary_cost_tolerance = -1.0;
+  Harness h(FanOutOptions(), {}, options);
+  ASSERT_TRUE(h.controller.RegisterWorkflow(FanOutApp(4)).ok());
+  EXPECT_TRUE(h.pilot.Enroll(kRoot).ok());
 }
 
 TEST(AutopilotTest, LifecyclePromotesUnderLoad) {
@@ -161,7 +192,7 @@ TEST(AutopilotTest, OomStormRollsBackAutomatically) {
   EXPECT_EQ(rollback->detector, "oom-kill");
   EXPECT_GT(rollback->virtual_time, promote->virtual_time);
   // Bounded reaction: within 3 control ticks of the storm opening.
-  EXPECT_LE(rollback->virtual_time, rule.window_start + 3 * h.pilot.options().tick_interval);
+  EXPECT_LE(rollback->virtual_time, rule.window_start + 3 * kAutopilotTick);
   EXPECT_FALSE(h.controller.HasMergedDeployment(kRoot));
 }
 

@@ -118,36 +118,36 @@ TEST(CostReportTest, WorkflowFunctionHandlesCoverTheApp) {
 }
 
 TEST(CostRegressionDetectorTest, HoldsWithoutEvidence) {
-  const CostRegressionDetector detector(0.5);
-  EXPECT_STREQ(detector.name(), "cost-regression");
-  EXPECT_EQ(detector.action(), AdaptationAction::kReoptimize);
+  const DetectorEntry& detector = kDetectors[4];
+  EXPECT_STREQ(detector.name, "cost-regression");
+  EXPECT_EQ(detector.action, AdaptationAction::kReoptimize);
+  EXPECT_EQ(detector.evaluate, &DetectCostRegression);
 
   DetectorSignals signals;  // Quiet window: no summary at all.
-  EXPECT_FALSE(detector.Evaluate(signals).fired);
+  EXPECT_FALSE(DetectCostRegression(signals).fired);
 
   WorkflowLatencySummary window;
   signals.window = &window;
   signals.cost_per_request_nanos = 900;
   signals.baseline_cost_per_request_nanos = 0;  // Baseline not armed yet.
-  EXPECT_FALSE(detector.Evaluate(signals).fired);
+  EXPECT_FALSE(DetectCostRegression(signals).fired);
 
   signals.baseline_cost_per_request_nanos = 600;
   signals.cost_per_request_nanos = 0;  // Billing idle this window.
-  EXPECT_FALSE(detector.Evaluate(signals).fired);
+  EXPECT_FALSE(DetectCostRegression(signals).fired);
 }
 
 TEST(CostRegressionDetectorTest, FiresOnDollarRegression) {
-  const CostRegressionDetector detector(0.5);
   WorkflowLatencySummary window;
   DetectorSignals signals;
   signals.window = &window;
   signals.baseline_cost_per_request_nanos = 600;
 
   signals.cost_per_request_nanos = 890;  // +48%: inside the 50% band.
-  EXPECT_FALSE(detector.Evaluate(signals).fired);
+  EXPECT_FALSE(DetectCostRegression(signals).fired);
 
   signals.cost_per_request_nanos = 960;  // +60%: regression.
-  const DetectorVerdict verdict = detector.Evaluate(signals);
+  const DetectorVerdict verdict = DetectCostRegression(signals);
   EXPECT_TRUE(verdict.fired);
   EXPECT_NEAR(verdict.metric, 0.6, 1e-9);
   EXPECT_DOUBLE_EQ(verdict.threshold, 0.5);
@@ -161,7 +161,6 @@ TEST(CanaryCostGateTest, ImpossibleToleranceBlocksPromotion) {
   ControllerOptions controller_options;
   controller_options.container_memory_limit_mb = 256.0;
   AutopilotOptions pilot_options;
-  pilot_options.tick_interval = Seconds(5);
   pilot_options.min_window_traces = 10;
   pilot_options.canary_min_traces = 8;
   pilot_options.canary_fraction = 0.3;

@@ -44,7 +44,6 @@ PlatformConfig ElasticConfig() {
   config.autoscaler.min_nodes = 1;
   config.autoscaler.warm_pool = 0;
   config.autoscaler.evaluate_interval = Milliseconds(100);
-  config.autoscaler.scale_up_ticks = 1;
   config.autoscaler.provisioning_delay = Milliseconds(500);
   config.autoscaler.scale_down_idle_ticks = 3;
   return config;

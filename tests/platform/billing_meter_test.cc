@@ -29,10 +29,9 @@ struct Harness {
   Simulation sim;
   Platform platform;
   SpanStore store;
-  Tracer tracer{&sim, &store};
 
   explicit Harness(PlatformConfig config = {}) : platform(&sim, config) {
-    platform.ConnectTracer(&tracer);
+    platform.ConnectSpanStore(&store);
   }
 
   Result<Json> InvokeAndWait(const std::string& handle) {

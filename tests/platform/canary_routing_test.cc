@@ -2,7 +2,7 @@
 
 #include "src/platform/platform.h"
 #include "src/tracing/span.h"
-#include "src/tracing/tracer.h"
+#include "src/tracing/span_store.h"
 
 namespace quilt {
 namespace {
@@ -30,9 +30,8 @@ struct Harness {
   Simulation sim;
   Platform platform{&sim, PlatformConfig{}};
   SpanStore store;
-  Tracer tracer{&sim, &store};
 
-  Harness() { platform.ConnectTracer(&tracer); }
+  Harness() { platform.ConnectSpanStore(&store); }
 
   // Sends `n` sequential requests; returns how many took >= `slow_cutoff`
   // end to end (i.e. were served by the slow version). The response time is
@@ -201,7 +200,6 @@ TEST(CanaryRoutingTest, CanarySpansCarryTheCanaryFlag) {
   ASSERT_TRUE(h.platform.Deploy(FixedFunction("fn", 1.0)).ok());
   ASSERT_TRUE(h.platform.StageCanary(FixedFunction("fn", 5.0), 0.5).ok());
   (void)h.CountSlow("fn", 10);
-  h.tracer.Flush();
 
   int64_t canary_spans = 0;
   int64_t control_spans = 0;

@@ -210,8 +210,7 @@ TEST(NodePlatformTest, NodeFailureKillsOnlyThatNodesContainers) {
   Simulation sim;
   Platform platform(&sim, config);
   SpanStore store;
-  Tracer tracer(&sim, &store);
-  platform.ConnectTracer(&tracer);
+  platform.ConnectSpanStore(&store);
 
   DeploymentSpec a = NodeFunction("a");
   a.warm_containers = 2;
@@ -258,7 +257,6 @@ TEST(NodePlatformTest, NodeFailureKillsOnlyThatNodesContainers) {
                    .done = [&](Result<Json> r) { ok = r.ok(); }});
   sim.Run();
   EXPECT_TRUE(ok);
-  tracer.Flush();
   ASSERT_FALSE(store.spans().empty());
   EXPECT_EQ(store.spans().back().callee, "b");
   EXPECT_EQ(store.spans().back().node_id, 1);

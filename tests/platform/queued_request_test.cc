@@ -232,5 +232,60 @@ TEST(QueuedRetryTest, TimedOutQueuedAttemptRunsIsBilledAndAnswersOnce) {
   EXPECT_EQ(platform.cost_meter().TotalAttempts(), 6);
 }
 
+// A version with max_scale < 1 could never run a replica, so requests routed
+// to it would queue forever. Each entry point that installs a version rejects
+// it, and one request sent afterwards is answered by what is live.
+struct ZeroScaleRow {
+  std::string name;
+  Status (*install)(Platform& platform);
+  StatusCode answer;
+};
+
+void PrintTo(const ZeroScaleRow& row, std::ostream* os) { *os << row.name; }
+
+class ZeroMaxScaleTest : public testing::TestWithParam<ZeroScaleRow> {};
+
+TEST_P(ZeroMaxScaleTest, IsRejectedAndTheNextInvokeIsAnswered) {
+  const ZeroScaleRow& row = GetParam();
+  Simulation sim;
+  Platform platform(&sim, PlatformConfig{});
+  EXPECT_STREQ(StatusCodeName(row.install(platform).code()), "INVALID_ARGUMENT");
+
+  int answers = 0;
+  std::string answer = "none";
+  platform.Invoke({.caller = kClientCaller,
+                   .callee = kFn,
+                   .parent = {},
+                   .payload = Json::MakeObject(),
+                   .async = false,
+                   .done = [&](Result<Json> result) {
+                     ++answers;
+                     answer = StatusCodeName(result.status().code());
+                   }});
+  sim.RunUntil(Seconds(600));
+  EXPECT_EQ(answers, 1);
+  EXPECT_EQ(answer, StatusCodeName(row.answer));
+  EXPECT_EQ(sim.pending_events(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EntryPoints, ZeroMaxScaleTest,
+    testing::Values(
+        ZeroScaleRow{"deploy", [](Platform& platform) { return platform.Deploy(SlowFunction(0)); },
+                     kNotFound},
+        ZeroScaleRow{"update",
+                     [](Platform& platform) {
+                       QUILT_RETURN_IF_ERROR(platform.Deploy(SlowFunction(1)));
+                       return platform.UpdateFunction(SlowFunction(0));
+                     },
+                     kOk},
+        ZeroScaleRow{"canary",
+                     [](Platform& platform) {
+                       QUILT_RETURN_IF_ERROR(platform.Deploy(SlowFunction(1)));
+                       return platform.StageCanary(SlowFunction(0), 1.0);
+                     },
+                     kOk}),
+    [](const testing::TestParamInfo<ZeroScaleRow>& info) { return info.param.name; });
+
 }  // namespace
 }  // namespace quilt

@@ -2,7 +2,7 @@
 
 #include "src/tracing/call_graph_builder.h"
 #include "src/tracing/resource_monitor.h"
-#include "src/tracing/tracer.h"
+#include "src/tracing/span_store.h"
 
 namespace quilt {
 namespace {
@@ -26,40 +26,6 @@ Span TracedSpan(int64_t trace_id, int64_t span_id, int64_t parent, const std::st
   span.span_id = span_id;
   span.parent_span_id = parent;
   return span;
-}
-
-TEST(TracerTest, BatchesAndFlushesOnTimer) {
-  Simulation sim;
-  SpanStore store;
-  Tracer tracer(&sim, &store, Seconds(1));
-  tracer.Record(MakeSpan("client", "a"));
-  tracer.Record(MakeSpan("a", "b"));
-  EXPECT_EQ(store.size(), 0);  // Still buffered.
-  sim.Run();                   // The flush timer fires.
-  EXPECT_EQ(store.size(), 2);
-  EXPECT_EQ(tracer.recorded(), 2);
-}
-
-TEST(TracerTest, ManualFlush) {
-  Simulation sim;
-  SpanStore store;
-  Tracer tracer(&sim, &store);
-  tracer.Record(MakeSpan("client", "a"));
-  tracer.Flush();
-  EXPECT_EQ(store.size(), 1);
-}
-
-TEST(TracerTest, DestructorFlushesFinalBatch) {
-  Simulation sim;
-  SpanStore store;
-  {
-    Tracer tracer(&sim, &store, Seconds(1));
-    tracer.Record(MakeSpan("client", "a"));
-    tracer.Record(MakeSpan("a", "b"));
-    EXPECT_EQ(store.size(), 0);  // Run "ended" inside a batch interval.
-  }
-  // Teardown must not strand the buffered spans.
-  EXPECT_EQ(store.size(), 2);
 }
 
 TEST(SpanStoreTest, QueryByWindow) {
