@@ -8,7 +8,7 @@
 
 #include "bench/bench_util.h"
 #include "src/graph/random_dag.h"
-#include "src/partition/heuristic_solver.h"
+#include "src/partition/root_set_sweep.h"
 #include "src/partition/scorers.h"
 
 namespace quilt {
@@ -54,13 +54,11 @@ int main() {
     double ms_sum = 0.0;
     for (const CallGraph& graph : graphs) {
       MergeProblem problem = ProblemFor(graph);
-      DownstreamImpactScorer dih;
-      HeuristicSolver solver(dih);
       SolverOptions options;
       options.pool_size = 8;
       options.mip_gap = gap;
       const auto start = std::chrono::steady_clock::now();
-      Result<MergeSolution> solution = solver.Solve(problem, options);
+      Result<MergeSolution> solution = SolveDihSweep(problem, DownstreamImpactScores, options);
       ms_sum += std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
                                                           start)
                     .count();

@@ -10,9 +10,8 @@
 
 #include "bench/bench_util.h"
 #include "src/graph/random_dag.h"
-#include "src/partition/heuristic_solver.h"
 #include "src/partition/metrics.h"
-#include "src/partition/optimal_solver.h"
+#include "src/partition/root_set_sweep.h"
 #include "src/partition/scorers.h"
 
 namespace quilt {
@@ -48,44 +47,31 @@ int main() {
 
   PrintHeader("Ablation: root scorers (mean optimality gap / mean decision ms)");
 
-  WeightedInDegreeScorer in_degree;
-  WeightedOutDegreeScorer out_degree;
-  BetweennessScorer betweenness;
-  DownstreamImpactScorer dih;
-  const std::vector<std::pair<const char*, RootScorer*>> scorers = {
-      {"weighted-in-degree", &in_degree},
-      {"weighted-out-degree", &out_degree},
-      {"betweenness", &betweenness},
-      {"downstream-impact", &dih},
-  };
-
   std::printf("%6s %7s |", "nodes", "trials");
-  for (const auto& [name, scorer] : scorers) {
-    std::printf(" %22s |", name);
+  for (const NamedScorer& scorer : kRootScorers) {
+    std::printf(" %22.*s |", static_cast<int>(scorer.name.size()), scorer.name.data());
   }
   std::printf("\n");
 
   Rng master(17);
   for (int n : {8, 10, 12}) {
     const int trials = 20;
-    std::vector<double> gap_sum(scorers.size(), 0.0);
-    std::vector<double> ms_sum(scorers.size(), 0.0);
+    std::vector<double> gap_sum(kRootScorers.size(), 0.0);
+    std::vector<double> ms_sum(kRootScorers.size(), 0.0);
     int counted = 0;
     for (int trial = 0; trial < trials; ++trial) {
       RandomDagOptions options;
       options.num_nodes = n;
       CallGraph graph = GenerateRandomRdag(options, master);
       MergeProblem problem = ProblemFor(graph);
-      OptimalSolver optimal;
-      Result<MergeSolution> opt = optimal.Solve(problem);
+      Result<MergeSolution> opt = SolveOptimal(problem);
       if (!opt.ok()) {
         continue;
       }
       ++counted;
-      for (size_t i = 0; i < scorers.size(); ++i) {
-        HeuristicSolver solver(*scorers[i].second);
+      for (size_t i = 0; i < kRootScorers.size(); ++i) {
         const auto start = std::chrono::steady_clock::now();
-        Result<MergeSolution> solution = solver.Solve(problem);
+        Result<MergeSolution> solution = SolveDihSweep(problem, kRootScorers[i].score);
         ms_sum[i] += std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - start)
                          .count();
@@ -94,7 +80,7 @@ int main() {
       }
     }
     std::printf("%6d %7d |", n, counted);
-    for (size_t i = 0; i < scorers.size(); ++i) {
+    for (size_t i = 0; i < kRootScorers.size(); ++i) {
       std::printf("    %6.4f / %7.1f ms |", gap_sum[i] / counted, ms_sum[i] / counted);
     }
     std::printf("\n");

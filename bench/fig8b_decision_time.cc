@@ -2,23 +2,27 @@
 //
 // Random rDAGs (|E| = 1.2|V|, 10% async edges, random CPU/memory, limits
 // sized so at least two containers are needed); three algorithms:
-//   - optimal (k-sweep over candidate root sets, Phase-2 ILP, stopped at the
-//     R = V optimum),
-//   - simple heuristic (weighted in-degree candidate pool),
-//   - Downstream Impact heuristic.
+//   - optimal (SolveOptimal: k-sweep over candidate root sets, Phase-2 ILP,
+//     stopped at the R = V optimum),
+//   - simple heuristic (SolveDihSweep over a weighted in-degree pool),
+//   - Downstream Impact heuristic (SolveDihSweep over DIH scores).
 // Medians with p5/p95 over repeated trials. The optimal solver is only run
 // on small graphs (its worst-case candidate-set count is 2^(|V|-1)); for
 // graphs beyond the heuristic pool regime the GRASP large-graph procedure
-// (Appendix C.4) carries the DIH column, as in the paper.
+// (SolveGrasp, Appendix C.4) carries both heuristic columns, as in the paper.
+// Then the decision engine's per-solver breakdown and ILP-cache effect.
+//
+//   --smoke   the sizes up to 25 nodes at 3 trials each, then the engine
+//             table (CI). Every column but the ms figures is deterministic.
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 
 #include "bench/bench_util.h"
 #include "src/graph/random_dag.h"
 #include "src/partition/decision_engine.h"
 #include "src/partition/grasp_solver.h"
-#include "src/partition/heuristic_solver.h"
-#include "src/partition/optimal_solver.h"
+#include "src/partition/root_set_sweep.h"
 #include "src/partition/scorers.h"
 
 namespace quilt {
@@ -60,19 +64,29 @@ double TimeMs(Fn&& fn) {
 }  // namespace bench
 }  // namespace quilt
 
-int main() {
+int main(int argc, char** argv) {
   using namespace quilt;
   using namespace quilt::bench;
+
+  bool smoke = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      smoke = true;
+    }
+  }
 
   PrintHeader("Figure 8b: merge-decision time vs graph size (median [p5,p95] ms)");
   std::printf("%6s %7s | %26s | %26s | %26s\n", "nodes", "trials", "optimal",
               "weighted-in-degree", "downstream-impact");
 
-  const std::vector<int> sizes = {5, 8, 10, 12, 25, 50, 100, 200, 400, 800};
+  std::vector<int> sizes = {5, 8, 10, 12, 25};
+  if (!smoke) {
+    sizes.insert(sizes.end(), {50, 100, 200, 400, 800});
+  }
   Rng master(20250704);
 
   for (int n : sizes) {
-    const int trials = n <= 25 ? 15 : (n <= 200 ? 6 : 3);
+    const int trials = smoke ? 3 : (n <= 25 ? 15 : (n <= 200 ? 6 : 3));
     const bool run_optimal = n <= 12;
     Timing optimal_t;
     Timing indeg_t;
@@ -84,28 +98,23 @@ int main() {
       MergeProblem problem = ProblemFor(graph);
 
       if (run_optimal) {
-        OptimalSolver solver;
-        optimal_t.ms.push_back(TimeMs([&] { (void)solver.Solve(problem); }));
+        optimal_t.ms.push_back(TimeMs([&] { (void)SolveOptimal(problem); }));
       }
       if (n <= 25) {
-        WeightedInDegreeScorer indeg;
-        DownstreamImpactScorer dih;
-        HeuristicSolver hs_indeg(indeg);
-        HeuristicSolver hs_dih(dih);
-        indeg_t.ms.push_back(TimeMs([&] { (void)hs_indeg.Solve(problem); }));
-        dih_t.ms.push_back(TimeMs([&] { (void)hs_dih.Solve(problem); }));
+        indeg_t.ms.push_back(
+            TimeMs([&] { (void)SolveDihSweep(problem, WeightedInDegreeScores); }));
+        dih_t.ms.push_back(
+            TimeMs([&] { (void)SolveDihSweep(problem, DownstreamImpactScores); }));
       } else {
         // Large-graph regime: GRASP (Appendix C.4) with each scorer.
-        WeightedInDegreeScorer indeg;
-        DownstreamImpactScorer dih;
-        GraspSolver gs_indeg(indeg);
-        GraspSolver gs_dih(dih);
         SolverOptions grasp_options = SolverOptions::GraspDefaults();
         grasp_options.draws_per_size = 2;
         grasp_options.max_nodes_per_ilp = 150000;  // Bound pathological pools.
         grasp_options.seed = 1000 + trial;
-        indeg_t.ms.push_back(TimeMs([&] { (void)gs_indeg.Solve(problem, grasp_options); }));
-        dih_t.ms.push_back(TimeMs([&] { (void)gs_dih.Solve(problem, grasp_options); }));
+        indeg_t.ms.push_back(TimeMs(
+            [&] { (void)SolveGrasp(problem, WeightedInDegreeScores, grasp_options); }));
+        dih_t.ms.push_back(TimeMs(
+            [&] { (void)SolveGrasp(problem, DownstreamImpactScores, grasp_options); }));
       }
     }
     auto cell = [](Timing& t) {

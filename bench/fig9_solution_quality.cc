@@ -18,9 +18,8 @@
 #include "bench/bench_util.h"
 #include "src/graph/random_dag.h"
 #include "src/partition/grasp_solver.h"
-#include "src/partition/heuristic_solver.h"
 #include "src/partition/metrics.h"
-#include "src/partition/optimal_solver.h"
+#include "src/partition/root_set_sweep.h"
 #include "src/partition/scorers.h"
 
 namespace quilt {
@@ -89,19 +88,14 @@ int main(int argc, char** argv) {
       CallGraph graph = GenerateRandomRdag(options, master);
       MergeProblem problem = ProblemFor(graph);
 
-      OptimalSolver optimal;
-      Result<MergeSolution> opt = optimal.Solve(problem);
+      Result<MergeSolution> opt = SolveOptimal(problem);
       if (!opt.ok()) {
         continue;
       }
       const double baseline_cost = graph.TotalEdgeWeight();
 
-      WeightedInDegreeScorer indeg_scorer;
-      DownstreamImpactScorer dih_scorer;
-      HeuristicSolver indeg(indeg_scorer);
-      HeuristicSolver dih(dih_scorer);
-      Result<MergeSolution> h1 = indeg.Solve(problem);
-      Result<MergeSolution> h2 = dih.Solve(problem);
+      Result<MergeSolution> h1 = SolveDihSweep(problem, WeightedInDegreeScores);
+      Result<MergeSolution> h2 = SolveDihSweep(problem, DownstreamImpactScores);
       const double c1 = h1.ok() ? h1->cross_cost : baseline_cost;
       const double c2 = h2.ok() ? h2->cross_cost : baseline_cost;
       indeg_gap.values.push_back(OptimalityGap(c1, opt->cross_cost, baseline_cost));
@@ -130,22 +124,16 @@ int main(int argc, char** argv) {
       MergeProblem problem = ProblemFor(graph);
       base_cost.values.push_back(graph.TotalEdgeWeight());
 
-      WeightedInDegreeScorer indeg_scorer;
-      DownstreamImpactScorer dih_scorer;
       if (n <= 25) {
-        HeuristicSolver indeg(indeg_scorer);
-        HeuristicSolver dih(dih_scorer);
-        Result<MergeSolution> h1 = indeg.Solve(problem);
-        Result<MergeSolution> h2 = dih.Solve(problem);
+        Result<MergeSolution> h1 = SolveDihSweep(problem, WeightedInDegreeScores);
+        Result<MergeSolution> h2 = SolveDihSweep(problem, DownstreamImpactScores);
         indeg_cost.values.push_back(h1.ok() ? h1->cross_cost : graph.TotalEdgeWeight());
         dih_cost.values.push_back(h2.ok() ? h2->cross_cost : graph.TotalEdgeWeight());
       } else {
-        GraspSolver indeg(indeg_scorer);
-        GraspSolver dih(dih_scorer);
         SolverOptions grasp_options = SolverOptions::GraspDefaults();
         grasp_options.seed = 300 + trial;
-        Result<MergeSolution> h1 = indeg.Solve(problem, grasp_options);
-        Result<MergeSolution> h2 = dih.Solve(problem, grasp_options);
+        Result<MergeSolution> h1 = SolveGrasp(problem, WeightedInDegreeScores, grasp_options);
+        Result<MergeSolution> h2 = SolveGrasp(problem, DownstreamImpactScores, grasp_options);
         indeg_cost.values.push_back(h1.ok() ? h1->cross_cost : graph.TotalEdgeWeight());
         dih_cost.values.push_back(h2.ok() ? h2->cross_cost : graph.TotalEdgeWeight());
       }

@@ -28,14 +28,13 @@ int main() {
   std::printf("baseline (no merging) remote calls per window: %.0f\n\n",
               graph.TotalEdgeWeight());
 
-  DownstreamImpactScorer dih;
-  GraspSolver solver(dih);
   SolverOptions grasp_options = SolverOptions::GraspDefaults();
   grasp_options.seed = 7;
   SolverStats stats;
 
   const auto start = std::chrono::steady_clock::now();
-  Result<MergeSolution> solution = solver.Solve(problem, grasp_options, &stats);
+  Result<MergeSolution> solution =
+      SolveGrasp(problem, DownstreamImpactScores, grasp_options, &stats);
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - start);
   if (!solution.ok()) {

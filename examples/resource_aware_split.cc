@@ -7,10 +7,9 @@
 #include <cstdio>
 
 #include "src/apps/deathstarbench.h"
-#include "src/partition/heuristic_solver.h"
-#include "src/partition/ilp_encoding.h"
-#include "src/partition/optimal_solver.h"
 #include "src/partition/dot_export.h"
+#include "src/partition/ilp_encoding.h"
+#include "src/partition/root_set_sweep.h"
 #include "src/partition/scorers.h"
 
 int main() {
@@ -34,9 +33,8 @@ int main() {
               CheckSolution(problem, full).ok() ? "feasible" : "INFEASIBLE");
 
   // The exact solver finds the resource-respecting optimum.
-  OptimalSolver optimal;
   SolverStats stats;
-  Result<MergeSolution> best = optimal.Solve(problem, {}, &stats);
+  Result<MergeSolution> best = SolveOptimal(problem, {}, &stats);
   if (!best.ok()) {
     std::printf("optimal solve failed: %s\n", best.status().ToString().c_str());
     return 1;
@@ -49,15 +47,13 @@ int main() {
   // candidate pool, with no proof of optimality. Its sweep stays small on
   // any graph; the exact sweep's worst case is 2^(|V|-1) root sets, though
   // here solving R = V first lets it stop after two.
-  DownstreamImpactScorer dih;
-  const std::vector<double> scores = dih.Score(problem);
+  const std::vector<double> scores = DownstreamImpactScores(problem);
   std::printf("== downstream-impact scores (why the aggregators become roots) ==\n");
   for (NodeId id = 0; id < graph->num_nodes(); ++id) {
     std::printf("  %-18s %.3f\n", graph->node(id).name.c_str(), scores[id]);
   }
-  HeuristicSolver heuristic(dih);
   SolverStats h_stats;
-  Result<MergeSolution> approx = heuristic.Solve(problem, {}, &h_stats);
+  Result<MergeSolution> approx = SolveDihSweep(problem, DownstreamImpactScores, {}, &h_stats);
   if (!approx.ok()) {
     std::printf("heuristic solve failed: %s\n", approx.status().ToString().c_str());
     return 1;

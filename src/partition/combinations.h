@@ -1,5 +1,5 @@
-// Enumeration of k-combinations, used by the exact merge-decision solver to
-// walk candidate root sets (§4.2 Phase 1).
+// Enumeration of k-combinations, used by the root-set sweep of the exact and
+// DIH merge decisions to walk candidate root sets (§4.2 Phase 1).
 #ifndef SRC_PARTITION_COMBINATIONS_H_
 #define SRC_PARTITION_COMBINATIONS_H_
 

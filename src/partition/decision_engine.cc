@@ -2,12 +2,31 @@
 
 #include <chrono>
 
+#include "src/partition/grasp_solver.h"
+#include "src/partition/root_set_sweep.h"
+#include "src/partition/scorers.h"
+
 namespace quilt {
 
-DecisionEngine::DecisionEngine(DecisionEngineOptions options)
-    : options_(options),
-      heuristic_(scorer_),
-      grasp_(scorer_) {
+namespace {
+
+// The DecisionRecord::solver name of each choice.
+const char* SolverName(SolverChoice choice) {
+  switch (choice) {
+    case SolverChoice::kOptimal:
+      return "optimal";
+    case SolverChoice::kHeuristic:
+      return "dih-sweep";
+    case SolverChoice::kGrasp:
+    case SolverChoice::kAuto:  // Unreachable: Resolve never returns kAuto.
+      break;
+  }
+  return "grasp";
+}
+
+}  // namespace
+
+DecisionEngine::DecisionEngine(DecisionEngineOptions options) : options_(options) {
   if (options_.enable_cache) {
     cache_ = std::make_unique<IlpSolveCache>();
   }
@@ -49,30 +68,27 @@ Result<MergeSolution> DecisionEngine::Decide(const MergeProblem& problem,
   const SolverChoice choice = Resolve(problem.graph->num_nodes());
   const SolverOptions solver_options = OptionsFor(choice);
 
-  MergeSolver* solver = nullptr;
-  switch (choice) {
-    case SolverChoice::kOptimal:
-      solver = &optimal_;
-      break;
-    case SolverChoice::kHeuristic:
-      solver = &heuristic_;
-      break;
-    case SolverChoice::kGrasp:
-    case SolverChoice::kAuto:  // Unreachable: Resolve never returns kAuto.
-      solver = &grasp_;
-      break;
-  }
-
   SolverStats stats;
   const auto start = std::chrono::steady_clock::now();
-  Result<MergeSolution> solution = solver->Solve(problem, solver_options, &stats);
+  Result<MergeSolution> solution = [&] {
+    switch (choice) {
+      case SolverChoice::kOptimal:
+        return SolveOptimal(problem, solver_options, &stats);
+      case SolverChoice::kHeuristic:
+        return SolveDihSweep(problem, DownstreamImpactScores, solver_options, &stats);
+      case SolverChoice::kGrasp:
+      case SolverChoice::kAuto:
+        break;
+    }
+    return SolveGrasp(problem, DownstreamImpactScores, solver_options, &stats);
+  }();
   const double wall_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
           .count();
 
   if (record != nullptr) {
     *record = DecisionRecord{};
-    record->solver = solver->name();
+    record->solver = SolverName(choice);
     record->seed = solver_options.seed;
     record->graph_nodes = problem.graph->num_nodes();
     record->graph_edges = problem.graph->num_edges();

@@ -1,7 +1,6 @@
 // DecisionEngine: the single entry point of the merge-decision stage (§4).
 //
-// Owns the solver portfolio (exact ILP sweep, DIH k-sweep, multi-start
-// GRASP), a shared IlpSolveCache memoizing Phase-2 solves across solvers AND
+// Owns a shared IlpSolveCache memoizing Phase-2 solves across solvers AND
 // across successive decisions (the merge monitor re-runs Decide continuously
 // as workloads drift — recurring decisions on a stable profile are near-free
 // cache hits), and the policy that picks a solver per graph size:
@@ -12,7 +11,8 @@
 //
 // The exact and DIH sweeps run SolverOptions{} (exact Phase-2 ILPs, ℓ = 6);
 // GRASP runs SolverOptions::GraspDefaults() (5% stage gap, bounded stage
-// ILPs). λ of the blended objective is the problem's (PlanCostModel::weight).
+// ILPs). DIH and GRASP rank candidates by DownstreamImpactScores. λ of the
+// blended objective is the problem's (PlanCostModel::weight).
 //
 // Every decision emits a DecisionRecord describing what ran and what it cost.
 #ifndef SRC_PARTITION_DECISION_ENGINE_H_
@@ -21,12 +21,8 @@
 #include <memory>
 
 #include "src/common/decision_record.h"
-#include "src/partition/grasp_solver.h"
-#include "src/partition/heuristic_solver.h"
 #include "src/partition/ilp_solve_cache.h"
 #include "src/partition/merge_solver.h"
-#include "src/partition/optimal_solver.h"
-#include "src/partition/scorers.h"
 
 namespace quilt {
 
@@ -71,11 +67,7 @@ class DecisionEngine {
   SolverOptions OptionsFor(SolverChoice choice) const;
 
   DecisionEngineOptions options_;
-  DownstreamImpactScorer scorer_;
   std::unique_ptr<IlpSolveCache> cache_;
-  OptimalSolver optimal_;
-  HeuristicSolver heuristic_;
-  GraspSolver grasp_;
 };
 
 }  // namespace quilt

@@ -7,8 +7,6 @@
 #include "src/common/rng.h"
 #include "src/common/strings.h"
 #include "src/common/thread_pool.h"
-#include "src/partition/ilp_encoding.h"
-#include "src/partition/ilp_solve_cache.h"
 
 namespace quilt {
 
@@ -53,10 +51,7 @@ StartOutcome RunStart(const MergeProblem& problem, uint64_t fingerprint,
   StartOutcome out;
   SolverStats& st = out.stats;
 
-  IlpSolveOptions ilp_options;
-  ilp_options.mip_gap = options.mip_gap;
-  ilp_options.max_nodes = options.max_nodes_per_ilp;
-  ilp_options.deadline = options.deadline;
+  const IlpSolveOptions ilp_options = options.ilp();
 
   // ---- Stage 1: find an initial feasible solution. ----
   std::optional<MergeSolution> best;
@@ -157,34 +152,17 @@ StartOutcome RunStart(const MergeProblem& problem, uint64_t fingerprint,
 
 }  // namespace
 
-Result<MergeSolution> GraspSolver::Solve(const MergeProblem& problem,
-                                         const SolverOptions& options,
-                                         SolverStats* stats) {
+Result<MergeSolution> SolveGrasp(const MergeProblem& problem, ScoreFn score,
+                                 const SolverOptions& options, SolverStats* stats) {
   QUILT_RETURN_IF_ERROR(problem.Validate());
-  const CallGraph& graph = *problem.graph;
-  const NodeId workflow_root = graph.root();
-  const int n = graph.num_nodes();
   const uint64_t fingerprint = FingerprintProblem(problem);
 
   SolverStats local_stats;
   SolverStats& st = stats != nullptr ? *stats : local_stats;
   st = SolverStats{};
 
-  const std::vector<double> scores = scorer_.Score(problem);
-
-  // Candidates ranked by score, descending.
-  std::vector<NodeId> ranked;
-  for (NodeId id = 0; id < n; ++id) {
-    if (id != workflow_root) {
-      ranked.push_back(id);
-    }
-  }
-  std::sort(ranked.begin(), ranked.end(), [&](NodeId a, NodeId b) {
-    if (scores[a] != scores[b]) {
-      return scores[a] > scores[b];
-    }
-    return a < b;
-  });
+  const std::vector<double> scores = score(problem);
+  const std::vector<NodeId> ranked = RankCandidates(problem, scores);
 
   const int num_starts = std::max(1, options.num_starts);
   const int num_threads = std::max(1, std::min(options.num_threads, num_starts));

@@ -10,6 +10,9 @@
 // cross-edge cost is accepted and the scan restarts; a full pass with no
 // improvement is a local optimum.
 //
+// "Top-score" is the order RankCandidates gives a score function, as in the
+// DIH sweep.
+//
 // Multi-start (SolverOptions::num_starts) runs independent GRASP starts,
 // start s drawing from its own RNG stream derived from the base seed, and
 // keeps the winner by deterministic argmin: lowest cross cost, ties broken by
@@ -33,18 +36,9 @@ namespace quilt {
 // num_starts, num_threads (the Restricted Candidate List size is fixed).
 // Callers wanting the paper's large-graph defaults (5% gap, bounded ILPs)
 // should start from SolverOptions::GraspDefaults().
-class GraspSolver : public MergeSolver {
- public:
-  explicit GraspSolver(const RootScorer& scorer) : scorer_(scorer) {}
-
-  std::string name() const override { return "grasp"; }
-  Result<MergeSolution> Solve(const MergeProblem& problem,
-                              const SolverOptions& options = {},
-                              SolverStats* stats = nullptr) override;
-
- private:
-  const RootScorer& scorer_;
-};
+Result<MergeSolution> SolveGrasp(const MergeProblem& problem, ScoreFn score,
+                                 const SolverOptions& options = {},
+                                 SolverStats* stats = nullptr);
 
 // Canonical, order-independent signature of a solution: per group
 // "root:sorted-members", groups sorted. Used for the deterministic multi-start

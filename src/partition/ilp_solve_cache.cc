@@ -7,7 +7,7 @@
 
 namespace quilt {
 
-IlpSolveCache::IlpSolveCache(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
+IlpSolveCache::IlpSolveCache(size_t capacity) : lru_(capacity == 0 ? 1 : capacity) {}
 
 std::string IlpSolveCache::Key(uint64_t problem_fingerprint, std::vector<NodeId> roots,
                                double mip_gap, int64_t max_nodes) {
@@ -22,38 +22,24 @@ std::string IlpSolveCache::Key(uint64_t problem_fingerprint, std::vector<NodeId>
 std::optional<IlpSolveCache::Entry> IlpSolveCache::Lookup(const std::string& key) {
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.lookups;
-  auto it = index_.find(key);
-  if (it == index_.end()) {
+  const Entry* entry = lru_.Lookup(key);
+  if (entry == nullptr) {
     return std::nullopt;
   }
   ++stats_.hits;
-  lru_.splice(lru_.begin(), lru_, it->second);  // Touch: move to front.
-  return it->second->second;
+  return *entry;
 }
 
 void IlpSolveCache::Insert(const std::string& key, Entry entry) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    // Concurrent starts can race to compute the same key; values are pure
-    // functions of the key, so keeping either is fine.
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.emplace_front(key, std::move(entry));
-  index_[key] = lru_.begin();
-  ++stats_.insertions;
-  while (lru_.size() > capacity_) {
-    index_.erase(lru_.back().first);
-    lru_.pop_back();
-    ++stats_.evictions;
+  if (lru_.Insert(key, std::move(entry))) {
+    ++stats_.insertions;
   }
 }
 
 void IlpSolveCache::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
-  lru_.clear();
-  index_.clear();
+  lru_.Clear();
   stats_ = Stats{};
 }
 
@@ -64,7 +50,9 @@ size_t IlpSolveCache::size() const {
 
 IlpSolveCache::Stats IlpSolveCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  Stats out = stats_;
+  out.evictions = lru_.evictions();
+  return out;
 }
 
 }  // namespace quilt

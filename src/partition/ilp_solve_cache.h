@@ -9,19 +9,17 @@
 // cutoff-free outcome — feasible solution or infeasibility — so any later
 // query with any cutoff can be answered from the entry.
 //
-// Thread-safe (one mutex; entries are small). Eviction is LRU with a fixed
-// entry capacity.
+// Thread-safe (one mutex around an LruCache; entries are small).
 #ifndef SRC_PARTITION_ILP_SOLVE_CACHE_H_
 #define SRC_PARTITION_ILP_SOLVE_CACHE_H_
 
 #include <cstdint>
-#include <list>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "src/common/lru_cache.h"
 #include "src/graph/call_graph.h"
 #include "src/partition/problem.h"
 
@@ -52,21 +50,18 @@ class IlpSolveCache {
                          double mip_gap, int64_t max_nodes);
 
   std::optional<Entry> Lookup(const std::string& key);
+  // Concurrent starts can race to compute the same key; values are pure
+  // functions of the key, so a repeated insert stores an equal value.
   void Insert(const std::string& key, Entry entry);
   void Clear();
 
   size_t size() const;
-  size_t capacity() const { return capacity_; }
   Stats stats() const;
 
  private:
-  using LruList = std::list<std::pair<std::string, Entry>>;
-
-  const size_t capacity_;
   mutable std::mutex mutex_;
-  LruList lru_;  // Front = most recently used.
-  std::unordered_map<std::string, LruList::iterator> index_;
-  Stats stats_;
+  LruCache<std::string, Entry> lru_;
+  Stats stats_;  // Evictions are read from lru_.
 };
 
 }  // namespace quilt

@@ -4,19 +4,13 @@
 #include <chrono>
 #include <cstring>
 
+#include "src/common/hash.h"
 #include "src/partition/ilp_encoding.h"
 #include "src/partition/ilp_solve_cache.h"
 
 namespace quilt {
 
 namespace {
-
-// FNV-1a style mixing over 64-bit words.
-inline uint64_t MixWord(uint64_t hash, uint64_t word) {
-  hash ^= word;
-  hash *= 0x100000001b3ull;
-  return hash;
-}
 
 inline uint64_t DoubleBits(double value) {
   uint64_t bits;
@@ -29,7 +23,7 @@ inline uint64_t DoubleBits(double value) {
 
 uint64_t FingerprintProblem(const MergeProblem& problem) {
   const CallGraph& graph = *problem.graph;
-  uint64_t hash = 0xcbf29ce484222325ull;
+  uint64_t hash = kFnvOffset;
   hash = MixWord(hash, static_cast<uint64_t>(graph.num_nodes()));
   hash = MixWord(hash, static_cast<uint64_t>(graph.num_edges()));
   hash = MixWord(hash, static_cast<uint64_t>(graph.root()));

@@ -1,17 +1,16 @@
-// Common interface of the three merge-decision solvers (§4.2, §4.3, App C.4).
+// What the three merge-decision solvers share (§4.2, §4.3, App C.4).
 //
-// OptimalSolver, HeuristicSolver and GraspSolver all answer the same
-// question — "which subgraphs should this call graph merge into?" — with
-// different search strategies over candidate root sets, each inner step being
-// a Phase-2 ILP solve. This header unifies their knobs (SolverOptions), their
-// telemetry (SolverStats) and their entry point (MergeSolver), so the
-// DecisionEngine can treat them as an interchangeable portfolio.
+// SolveOptimal and SolveDihSweep (root_set_sweep.h) and SolveGrasp
+// (grasp_solver.h) all answer the same question — "which subgraphs should
+// this call graph merge into?" — with different searches over candidate root
+// sets, each inner step being a Phase-2 ILP solve. This header holds their
+// knobs (SolverOptions), their telemetry (SolverStats) and that inner step
+// (SolveForRootsCached); the DecisionEngine picks which one runs.
 #ifndef SRC_PARTITION_MERGE_SOLVER_H_
 #define SRC_PARTITION_MERGE_SOLVER_H_
 
 #include <chrono>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/ilp/ilp_solver.h"
@@ -21,8 +20,8 @@ namespace quilt {
 
 class IlpSolveCache;
 
-// Which member of the portfolio a caller wants (kAuto = size-based policy,
-// resolved by the DecisionEngine).
+// Which solver a caller wants (kAuto = size-based policy, resolved by the
+// DecisionEngine).
 enum class SolverChoice { kAuto, kOptimal, kHeuristic, kGrasp };
 
 struct SolverOptions {
@@ -40,11 +39,9 @@ struct SolverOptions {
   // result instead — see SolveForRootsCached.
   IlpSolveCache* cache = nullptr;
 
-  // --- Exact sweep (OptimalSolver).
+  // --- Root-set sweeps (SolveOptimal, SolveDihSweep).
   int64_t max_candidate_sets = 0;  // Abort enumeration after this many (0 = ∞).
-
-  // --- DIH k-sweep (HeuristicSolver).
-  int pool_size = 6;   // ℓ: top-scoring candidates kept in the Phase-1 pool.
+  int pool_size = 6;   // ℓ: top-scoring candidates kept in the DIH pool.
 
   // --- GRASP (App C.4), now multi-start.
   uint64_t seed = 0x9e3779b97f4a7c15ull;  // Base seed; start s derives its own.
@@ -69,6 +66,14 @@ struct SolverOptions {
   bool expired() const {
     return has_deadline() && std::chrono::steady_clock::now() >= deadline;
   }
+  // The Phase-2 ILP knobs every inner solve starts from (no cutoff).
+  IlpSolveOptions ilp() const {
+    IlpSolveOptions ilp_options;
+    ilp_options.mip_gap = mip_gap;
+    ilp_options.max_nodes = max_nodes_per_ilp;
+    ilp_options.deadline = deadline;
+    return ilp_options;
+  }
 };
 
 struct SolverStats {
@@ -78,7 +83,8 @@ struct SolverStats {
   int64_t candidate_sets_tried = 0;
   int64_t feasible_sets = 0;
   // False when a limit or deadline stopped a sweep early. A sweep that stops
-  // at a proven optimum (OptimalSolver) stays exhaustive.
+  // at a proven optimum (SolveOptimal) or stalls (SolveDihSweep) stays
+  // exhaustive.
   bool exhaustive = true;
   bool hit_deadline = false;
 
@@ -90,15 +96,6 @@ struct SolverStats {
   int threads = 0;
 
   int64_t fresh_ilp_solves() const { return ilp_solves - ilp_cache_hits; }
-};
-
-class MergeSolver {
- public:
-  virtual ~MergeSolver() = default;
-  virtual std::string name() const = 0;
-  virtual Result<MergeSolution> Solve(const MergeProblem& problem,
-                                      const SolverOptions& options = {},
-                                      SolverStats* stats = nullptr) = 0;
 };
 
 // 64-bit structural fingerprint of a merge problem: nodes (resources), edges

@@ -5,6 +5,7 @@
 #include <deque>
 #include <set>
 
+#include "src/common/hash.h"
 #include "src/common/strings.h"
 #include "src/common/thread_pool.h"
 #include "src/frontend/frontend.h"
@@ -15,15 +16,6 @@
 namespace quilt {
 
 namespace {
-
-// FNV-1a style mixing over 64-bit words (same scheme as FingerprintProblem).
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-
-inline uint64_t MixWord(uint64_t hash, uint64_t word) {
-  hash ^= word;
-  hash *= 0x100000001b3ull;
-  return hash;
-}
 
 inline uint64_t MixString(uint64_t hash, const std::string& s) {
   hash = MixWord(hash, s.size());
@@ -124,37 +116,6 @@ std::string ArtifactSignature(const MergedArtifact& a) {
     }
   }
   return s;
-}
-
-// ---------------------------------------------------------------------------
-// LruCache.
-
-template <typename V>
-bool CompileService::LruCache<V>::Lookup(uint64_t key, V* out) {
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    return false;
-  }
-  entries_.splice(entries_.begin(), entries_, it->second);
-  *out = entries_.front().second;
-  return true;
-}
-
-template <typename V>
-void CompileService::LruCache<V>::Insert(uint64_t key, V value) {
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    it->second->second = std::move(value);
-    entries_.splice(entries_.begin(), entries_, it->second);
-    return;
-  }
-  entries_.emplace_front(key, std::move(value));
-  index_[key] = entries_.begin();
-  while (entries_.size() > capacity_) {
-    index_.erase(entries_.back().first);
-    entries_.pop_back();
-    ++evictions_;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -583,10 +544,9 @@ Status CompileService::Run(std::span<Job> jobs, std::vector<CompileRecord>* reco
     }
     if (options_.ir_cache) {
       ++stats_.ir_lookups;
-      IrModule cached;
-      if (ir_cache_.Lookup(fp, &cached)) {
+      if (const IrModule* cached = ir_cache_.Lookup(fp)) {
         ++stats_.ir_hits;
-        modules.emplace(fp, std::move(cached));
+        modules.emplace(fp, *cached);
         return true;
       }
     }
@@ -596,11 +556,10 @@ Status CompileService::Run(std::span<Job> jobs, std::vector<CompileRecord>* reco
   for (Job& job : jobs) {
     if (options_.artifact_cache) {
       ++stats_.artifact_lookups;
-      MergedArtifact cached;
-      if (artifact_cache_.Lookup(job.fingerprint, &cached)) {
+      if (const MergedArtifact* cached = artifact_cache_.Lookup(job.fingerprint)) {
         ++stats_.artifact_hits;
         job.cached = true;
-        job.artifact = std::move(cached);
+        job.artifact = *cached;
         continue;
       }
     }

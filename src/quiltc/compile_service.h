@@ -26,16 +26,15 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <map>
 #include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/common/compile_record.h"
+#include "src/common/lru_cache.h"
 #include "src/common/sim_time.h"
 #include "src/common/status.h"
 #include "src/frontend/source_function.h"
@@ -151,21 +150,6 @@ class CompileService {
   struct GroupPlan;  // Validated group: member sources in BFS order.
   struct Job;        // One artifact to produce: a single build or a group merge.
 
-  template <typename V>
-  class LruCache {
-   public:
-    explicit LruCache(size_t capacity) : capacity_(capacity) {}
-    bool Lookup(uint64_t key, V* out);  // Copies the value on hit.
-    void Insert(uint64_t key, V value);
-    int64_t evictions() const { return evictions_; }
-
-   private:
-    size_t capacity_;
-    int64_t evictions_ = 0;
-    std::list<std::pair<uint64_t, V>> entries_;  // Front = most recent.
-    std::unordered_map<uint64_t, typename std::list<std::pair<uint64_t, V>>::iterator> index_;
-  };
-
   // Raw frontend run + Verify, no cache. Safe to call from worker threads.
   Result<IrModule> CompileFresh(const SourceFunction& source) const;
 
@@ -199,8 +183,8 @@ class CompileService {
   CompileServiceOptions options_;
 
   mutable std::mutex mutex_;  // Guards caches_ and stats_.
-  LruCache<IrModule> ir_cache_;
-  LruCache<MergedArtifact> artifact_cache_;
+  LruCache<uint64_t, IrModule> ir_cache_;
+  LruCache<uint64_t, MergedArtifact> artifact_cache_;
   CompileServiceStats stats_;
 };
 

@@ -12,7 +12,6 @@ struct RunState {
   LoadResult result;
   SimTime measure_start = 0;
   SimTime measure_end = 0;
-  int64_t outstanding = 0;
 };
 
 void RecordResponse(RunState& state, SimTime sent_at, SimTime now, const Status& status) {
@@ -83,49 +82,18 @@ LoadResult ClosedLoopGenerator::Run(Simulation* sim, Invoker* invoker,
 
 LoadResult OpenLoopGenerator::Run(Simulation* sim, Invoker* invoker, const std::string& target,
                                   const Options& options) {
-  auto state = std::make_shared<RunState>();
-  state->measure_start = sim->now() + options.warmup;
-  state->measure_end = state->measure_start + options.duration;
-  state->result.measured_duration = options.duration;
-  state->result.offered_rps = options.rps;
-
-  auto rng = std::make_shared<Rng>(options.seed);
-  const SimTime run_end = state->measure_end;
-  const double interval_s = options.rps > 0.0 ? 1.0 / options.rps : 0.0;
-
-  // Schedule arrivals lazily (one event schedules the next) to keep the
-  // event queue small at high rates. Weak self-capture, as in the closed
-  // loop above: the local `arrive` is the only strong reference, so the
-  // closure chain is freed when Run returns.
-  auto arrive = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> weak_arrive = arrive;
-  *arrive = [sim, invoker, target, options, state, rng, weak_arrive, run_end, interval_s] {
-    const SimTime sent_at = sim->now();
-    if (sent_at >= run_end) {
-      return;
-    }
-    Json payload = options.payload_fn ? options.payload_fn(*rng) : options.payload;
-    // Context-free entry point: each client request roots a fresh trace.
-    invoker->Invoke({.caller = kClientCaller,
-                     .callee = target,
-                     .parent = {},
-                     .payload = std::move(payload),
-                     .async = false,
-                     .done = [sim, state, sent_at](Result<Json> result) {
-                       RecordResponse(*state, sent_at, sim->now(), result.status());
-                     }});
-    const double next_s =
-        options.poisson ? rng->Exponential(interval_s) : interval_s;
-    sim->Schedule(Seconds(next_s), [weak_arrive] {
-      if (auto next = weak_arrive.lock()) {
-        (*next)();
-      }
-    });
-  };
-  sim->Schedule(0, [arrive] { (*arrive)(); });
-
-  sim->RunUntil(run_end + options.drain_grace);
-  return state->result;
+  LoadPhase phase;
+  phase.rps = options.rps;
+  phase.duration = options.duration;
+  phase.payload = options.payload;
+  phase.payload_fn = options.payload_fn;
+  PhasedOptions phased;
+  phased.warmup = options.warmup;
+  phased.poisson = options.poisson;
+  phased.seed = options.seed;
+  phased.drain_grace = options.drain_grace;
+  phased.phases.push_back(std::move(phase));
+  return std::move(RunPhased(sim, invoker, target, phased)[0].result);
 }
 
 std::vector<PhaseResult> OpenLoopGenerator::RunPhased(Simulation* sim, Invoker* invoker,
@@ -156,7 +124,7 @@ std::vector<PhaseResult> OpenLoopGenerator::RunPhased(Simulation* sim, Invoker* 
   const SimTime run_end = cursor;
 
   // During warmup arrivals use the first phase's rate and payload; the index
-  // then tracks the phase covering "now". Weak self-capture as in Run above.
+  // then tracks the phase covering "now".
   auto phase_at = [rows](SimTime when) {
     size_t index = 0;
     for (size_t i = 0; i < rows->size(); ++i) {
@@ -167,6 +135,10 @@ std::vector<PhaseResult> OpenLoopGenerator::RunPhased(Simulation* sim, Invoker* 
     return index;
   };
 
+  // Arrivals are scheduled lazily (one event schedules the next) to keep the
+  // event queue small at high rates. Weak self-capture, as in the closed loop
+  // above: the local `arrive` is the only strong reference, so the closure
+  // chain is freed when RunPhased returns.
   auto rng = std::make_shared<Rng>(options.seed);
   auto arrive = std::make_shared<std::function<void()>>();
   std::weak_ptr<std::function<void()>> weak_arrive = arrive;

@@ -94,6 +94,8 @@ class OpenLoopGenerator {
     std::function<Json(Rng&)> payload_fn;
   };
 
+  // A one-phase RunPhased: `rps` from the start, measured after warmup.
+  // rps <= 0 sends nothing and returns at warmup + duration + drain_grace.
   LoadResult Run(Simulation* sim, Invoker* invoker, const std::string& target,
                  const Options& options);
 

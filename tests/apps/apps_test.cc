@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/partition/ilp_encoding.h"
-#include "src/partition/optimal_solver.h"
+#include "src/partition/root_set_sweep.h"
 #include "src/partition/problem.h"
 
 namespace quilt {
@@ -92,8 +92,7 @@ TEST(AppsTest, ModifiedNearbyCinemaRequiresSplit) {
   EXPECT_FALSE(SolveForRoots(problem, {graph->root()}).ok());
 
   // The optimal solution is a 2-way split rooted at an aggregator.
-  OptimalSolver solver;
-  Result<MergeSolution> best = solver.Solve(problem);
+  Result<MergeSolution> best = SolveOptimal(problem);
   ASSERT_TRUE(best.ok()) << best.status().ToString();
   EXPECT_EQ(best->num_groups(), 2);
   EXPECT_TRUE(CheckSolution(problem, *best).ok());

@@ -3,13 +3,15 @@
 // model can flip which edge gets cut; PlanDollarCost prices a finished plan.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "src/partition/decision_engine.h"
 #include "src/partition/grasp_solver.h"
-#include "src/partition/heuristic_solver.h"
 #include "src/partition/merge_solver.h"
 #include "src/partition/metrics.h"
-#include "src/partition/optimal_solver.h"
 #include "src/partition/problem.h"
+#include "src/partition/root_set_sweep.h"
+#include "src/partition/scorers.h"
 
 namespace quilt {
 namespace {
@@ -68,14 +70,15 @@ TEST(CostObjectiveTest, LambdaOneIsByteIdenticalToLatencyOnly) {
   MergeProblem plain{&fx.g, 2.0, 130.0};  // No cost model at all.
   const MergeProblem priced = fx.Problem(1.0);
 
-  OptimalSolver optimal;
-  DownstreamImpactScorer scorer;
-  HeuristicSolver heuristic(scorer);
-  GraspSolver grasp(scorer);
-  for (MergeSolver* solver :
-       std::initializer_list<MergeSolver*>{&optimal, &heuristic, &grasp}) {
-    Result<MergeSolution> without = solver->Solve(plain);
-    Result<MergeSolution> with = solver->Solve(priced);
+  using Solve = std::function<Result<MergeSolution>(const MergeProblem&)>;
+  const Solve solvers[] = {
+      [](const MergeProblem& p) { return SolveOptimal(p); },
+      [](const MergeProblem& p) { return SolveDihSweep(p, DownstreamImpactScores); },
+      [](const MergeProblem& p) { return SolveGrasp(p, DownstreamImpactScores); },
+  };
+  for (const Solve& solve : solvers) {
+    Result<MergeSolution> without = solve(plain);
+    Result<MergeSolution> with = solve(priced);
     ASSERT_TRUE(without.ok());
     ASSERT_TRUE(with.ok());
     EXPECT_EQ(SolutionToString(fx.g, *without), SolutionToString(fx.g, *with));
@@ -85,11 +88,10 @@ TEST(CostObjectiveTest, LambdaOneIsByteIdenticalToLatencyOnly) {
 
 TEST(CostObjectiveTest, CostWeightFlipsWhichEdgeIsCut) {
   const ChainFixture fx;
-  OptimalSolver solver;
 
   // λ = 1: pure latency, cut the light A->B edge (weight 10) even though
   // that cut costs $1000.
-  Result<MergeSolution> latency = solver.Solve(fx.Problem(1.0));
+  Result<MergeSolution> latency = SolveOptimal(fx.Problem(1.0));
   ASSERT_TRUE(latency.ok());
   EXPECT_DOUBLE_EQ(latency->cross_cost, 10.0);
   EXPECT_DOUBLE_EQ(PlanDollarCost(fx.g, *latency, fx.Problem(0.0).cost), 1000.0);
@@ -98,7 +100,7 @@ TEST(CostObjectiveTest, CostWeightFlipsWhichEdgeIsCut) {
   // (costs $1) even though its latency weight is 99. With the cost term
   // active, the reported cross_cost is the blended objective -- here just
   // the dollar side, scale 1, zero merge floor.
-  Result<MergeSolution> dollars = solver.Solve(fx.Problem(0.0));
+  Result<MergeSolution> dollars = SolveOptimal(fx.Problem(0.0));
   ASSERT_TRUE(dollars.ok());
   EXPECT_DOUBLE_EQ(ComputeCrossCost(fx.g, *dollars), 99.0);
   EXPECT_DOUBLE_EQ(PlanDollarCost(fx.g, *dollars, fx.Problem(0.0).cost), 1.0);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/graph/random_dag.h"
+#include "src/partition/grasp_solver.h"
 
 namespace quilt {
 namespace {

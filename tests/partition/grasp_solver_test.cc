@@ -38,12 +38,11 @@ TEST(GraspSolverTest, SolvesMediumRandomGraph) {
   }
   MergeProblem problem{&g, 100.0, total_mem * 0.3};
 
-  DownstreamImpactScorer dih;
-  GraspSolver solver(dih);
   SolverOptions grasp_options = SolverOptions::GraspDefaults();
   grasp_options.seed = 99;
   SolverStats stats;
-  Result<MergeSolution> solution = solver.Solve(problem, grasp_options, &stats);
+  Result<MergeSolution> solution =
+      SolveGrasp(problem, DownstreamImpactScores, grasp_options, &stats);
   ASSERT_TRUE(solution.ok()) << solution.status().ToString();
   EXPECT_TRUE(CheckSolution(problem, *solution).ok())
       << CheckSolution(problem, *solution).ToString();
@@ -63,21 +62,18 @@ TEST(GraspSolverTest, RefinementNeverWorsensCost) {
   }
   MergeProblem problem{&g, 100.0, total_mem * 0.4};
 
-  DownstreamImpactScorer dih;
-  GraspSolver solver(dih);
-
   // Run once with refinement disabled and once with it on: refinement can
   // only improve (or match) the stage-1 cost because removals require strict
   // improvement.
   SolverOptions no_refine = SolverOptions::GraspDefaults();
   no_refine.seed = 5;
   no_refine.max_refinement_rounds = 1;  // One pass, may find nothing.
-  Result<MergeSolution> coarse = solver.Solve(problem, no_refine);
+  Result<MergeSolution> coarse = SolveGrasp(problem, DownstreamImpactScores, no_refine);
   ASSERT_TRUE(coarse.ok());
 
   SolverOptions full = SolverOptions::GraspDefaults();
   full.seed = 5;
-  Result<MergeSolution> refined = solver.Solve(problem, full);
+  Result<MergeSolution> refined = SolveGrasp(problem, DownstreamImpactScores, full);
   ASSERT_TRUE(refined.ok());
   EXPECT_LE(refined->cross_cost, coarse->cross_cost + 1e-9);
 }
@@ -93,13 +89,12 @@ TEST(GraspSolverTest, TightConstraintsGrowThePool) {
   CallGraph g = GenerateRandomRdag(options, graph_rng);
   MergeProblem problem{&g, 100.0, 125.0};
 
-  DownstreamImpactScorer dih;
-  GraspSolver solver(dih);
   SolverOptions grasp_options = SolverOptions::GraspDefaults();
   grasp_options.seed = 1;
   grasp_options.initial_pool_size = 1;
   SolverStats stats;
-  Result<MergeSolution> solution = solver.Solve(problem, grasp_options, &stats);
+  Result<MergeSolution> solution =
+      SolveGrasp(problem, DownstreamImpactScores, grasp_options, &stats);
   ASSERT_TRUE(solution.ok()) << solution.status().ToString();
   EXPECT_TRUE(CheckSolution(problem, *solution).ok());
   EXPECT_GT(stats.final_pool_size, 1);
@@ -115,12 +110,10 @@ TEST(GraspSolverTest, DeterministicGivenSeed) {
     total_mem += g.node(id).memory;
   }
   MergeProblem problem{&g, 100.0, total_mem * 0.4};
-  DownstreamImpactScorer dih;
-  GraspSolver solver(dih);
   SolverOptions grasp_options = SolverOptions::GraspDefaults();
   grasp_options.seed = 123;
-  Result<MergeSolution> a = solver.Solve(problem, grasp_options);
-  Result<MergeSolution> b = solver.Solve(problem, grasp_options);
+  Result<MergeSolution> a = SolveGrasp(problem, DownstreamImpactScores, grasp_options);
+  Result<MergeSolution> b = SolveGrasp(problem, DownstreamImpactScores, grasp_options);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_DOUBLE_EQ(a->cross_cost, b->cross_cost);
@@ -140,12 +133,10 @@ TEST(GraspSolverTest, DifferentSeedStillProducesValidSolution) {
     total_mem += g.node(id).memory;
   }
   MergeProblem problem{&g, 100.0, total_mem * 0.4};
-  DownstreamImpactScorer dih;
-  GraspSolver solver(dih);
 
   SolverOptions base_options = SolverOptions::GraspDefaults();
   base_options.seed = 123;
-  Result<MergeSolution> base = solver.Solve(problem, base_options);
+  Result<MergeSolution> base = SolveGrasp(problem, DownstreamImpactScores, base_options);
   ASSERT_TRUE(base.ok());
 
   // Any other seed must still satisfy every solution invariant (coverage,
@@ -154,7 +145,7 @@ TEST(GraspSolverTest, DifferentSeedStillProducesValidSolution) {
   for (uint64_t seed : {7u, 777u, 31337u}) {
     SolverOptions other_options = SolverOptions::GraspDefaults();
     other_options.seed = seed;
-    Result<MergeSolution> other = solver.Solve(problem, other_options);
+    Result<MergeSolution> other = SolveGrasp(problem, DownstreamImpactScores, other_options);
     ASSERT_TRUE(other.ok()) << "seed " << seed << ": " << other.status().ToString();
     EXPECT_TRUE(CheckSolution(problem, *other).ok())
         << "seed " << seed << ": " << CheckSolution(problem, *other).ToString();

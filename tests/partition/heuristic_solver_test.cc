@@ -1,10 +1,9 @@
-#include "src/partition/heuristic_solver.h"
-
 #include <gtest/gtest.h>
 
 #include "src/graph/random_dag.h"
 #include "src/partition/metrics.h"
-#include "src/partition/optimal_solver.h"
+#include "src/partition/root_set_sweep.h"
+#include "src/partition/scorers.h"
 
 namespace quilt {
 namespace {
@@ -27,8 +26,7 @@ TEST(ScorersTest, DownstreamImpactPrefersGatewayNodes) {
   ASSERT_TRUE(g.AddEdgeWithAlpha(root, light, 10, 1, CallType::kSync).ok());
   MergeProblem problem = ProblemFor(g, 2.0, 128.0);
 
-  DownstreamImpactScorer dih;
-  const std::vector<double> scores = dih.Score(problem);
+  const std::vector<double> scores = DownstreamImpactScores(problem);
   // The gateway guards the resource-heavy subtree: highest score.
   EXPECT_GT(scores[gateway], scores[light]);
   EXPECT_GT(scores[gateway], scores[heavy1]);
@@ -43,9 +41,10 @@ TEST(ScorersTest, WeightedDegreeScorers) {
   ASSERT_TRUE(g.AddEdgeWithAlpha(a, c, 3, 1, CallType::kSync).ok());
   ASSERT_TRUE(g.AddEdgeWithAlpha(b, c, 4, 1, CallType::kSync).ok());
   MergeProblem problem = ProblemFor(g, 2.0, 128.0);
-  EXPECT_EQ(WeightedInDegreeScorer().Score(problem), (std::vector<double>{0, 7, 7}));
-  EXPECT_EQ(WeightedOutDegreeScorer().Score(problem), (std::vector<double>{10, 4, 0}));
-  EXPECT_EQ(BetweennessScorer().name(), "betweenness");
+  EXPECT_EQ(WeightedInDegreeScores(problem), (std::vector<double>{0, 7, 7}));
+  EXPECT_EQ(WeightedOutDegreeScores(problem), (std::vector<double>{10, 4, 0}));
+  EXPECT_EQ(kRootScorers[2].score, BetweennessScores);
+  EXPECT_EQ(kRootScorers[2].name, "betweenness");
 }
 
 TEST(HeuristicSolverTest, FindsFullMergeOnEasyGraph) {
@@ -54,16 +53,13 @@ TEST(HeuristicSolverTest, FindsFullMergeOnEasyGraph) {
   const NodeId b = g.AddNode("b", 0.1, 10);
   ASSERT_TRUE(g.AddEdgeWithAlpha(a, b, 10, 1, CallType::kSync).ok());
   MergeProblem problem = ProblemFor(g, 2.0, 128.0);
-  DownstreamImpactScorer dih;
-  HeuristicSolver solver(dih);
-  Result<MergeSolution> solution = solver.Solve(problem);
+  Result<MergeSolution> solution = SolveDihSweep(problem, DownstreamImpactScores);
   ASSERT_TRUE(solution.ok());
   EXPECT_DOUBLE_EQ(solution->cross_cost, 0.0);
 }
 
 TEST(HeuristicSolverTest, DihMatchesOptimalOnSmallRandomGraphs) {
   Rng rng(2024);
-  DownstreamImpactScorer dih;
   int optimal_matches = 0;
   const int trials = 10;
   for (int trial = 0; trial < trials; ++trial) {
@@ -77,14 +73,12 @@ TEST(HeuristicSolverTest, DihMatchesOptimalOnSmallRandomGraphs) {
     // Memory for roughly half the graph; generous CPU.
     MergeProblem problem = ProblemFor(g, 50.0, total_mem * 0.55);
 
-    OptimalSolver optimal;
-    Result<MergeSolution> opt = optimal.Solve(problem);
+    Result<MergeSolution> opt = SolveOptimal(problem);
     ASSERT_TRUE(opt.ok()) << "trial " << trial;
 
-    HeuristicSolver heuristic(dih);
     SolverOptions h_options;
     h_options.pool_size = 5;
-    Result<MergeSolution> heur = heuristic.Solve(problem, h_options);
+    Result<MergeSolution> heur = SolveDihSweep(problem, DownstreamImpactScores, h_options);
     ASSERT_TRUE(heur.ok()) << "trial " << trial;
     EXPECT_TRUE(CheckSolution(problem, *heur).ok());
 
@@ -109,10 +103,8 @@ TEST(HeuristicSolverTest, StatsArePopulated) {
   ASSERT_TRUE(g.AddEdgeWithAlpha(a, b, 10, 1, CallType::kSync).ok());
   ASSERT_TRUE(g.AddEdgeWithAlpha(b, c, 20, 1, CallType::kSync).ok());
   MergeProblem problem = ProblemFor(g, 2.0, 130.0);
-  DownstreamImpactScorer dih;
-  HeuristicSolver solver(dih);
   SolverStats stats;
-  Result<MergeSolution> solution = solver.Solve(problem, {}, &stats);
+  Result<MergeSolution> solution = SolveDihSweep(problem, DownstreamImpactScores, {}, &stats);
   ASSERT_TRUE(solution.ok());
   EXPECT_GT(stats.candidate_sets_tried, 0);
   EXPECT_GT(stats.feasible_sets, 0);

@@ -1,5 +1,3 @@
-#include "src/partition/optimal_solver.h"
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +10,7 @@
 #include "src/partition/combinations.h"
 #include "src/partition/ilp_encoding.h"
 #include "src/partition/ilp_solve_cache.h"
+#include "src/partition/root_set_sweep.h"
 
 namespace quilt {
 namespace {
@@ -24,8 +23,7 @@ TEST(OptimalSolverTest, FullMergeWhenEverythingFits) {
   ASSERT_TRUE(g.AddEdgeWithAlpha(a, b, 10, 1, CallType::kSync).ok());
   ASSERT_TRUE(g.AddEdgeWithAlpha(b, c, 10, 1, CallType::kSync).ok());
   MergeProblem problem{&g, 2.0, 128.0};
-  OptimalSolver solver;
-  Result<MergeSolution> solution = solver.Solve(problem);
+  Result<MergeSolution> solution = SolveOptimal(problem);
   ASSERT_TRUE(solution.ok());
   EXPECT_DOUBLE_EQ(solution->cross_cost, 0.0);
   EXPECT_TRUE(solution->IsFullMerge(g));
@@ -41,9 +39,8 @@ TEST(OptimalSolverTest, PicksCheapestCut) {
   ASSERT_TRUE(g.AddEdgeWithAlpha(a, b, 10, 1, CallType::kSync).ok());
   ASSERT_TRUE(g.AddEdgeWithAlpha(b, c, 99, 1, CallType::kSync).ok());
   MergeProblem problem{&g, 2.0, 130.0};
-  OptimalSolver solver;
   SolverStats stats;
-  Result<MergeSolution> solution = solver.Solve(problem, {}, &stats);
+  Result<MergeSolution> solution = SolveOptimal(problem, {}, &stats);
   ASSERT_TRUE(solution.ok());
   EXPECT_DOUBLE_EQ(solution->cross_cost, 10.0);
   EXPECT_TRUE(CheckSolution(problem, *solution).ok());
@@ -71,8 +68,7 @@ TEST(OptimalSolverTest, AppendixAExampleMoreSubgraphsCanBeBetter) {
   ASSERT_TRUE(g.AddEdgeWithAlpha(r, e, 2, 1, CallType::kSync).ok());
   ASSERT_TRUE(g.AddEdgeWithAlpha(e, f, 3, 1, CallType::kSync).ok());
   MergeProblem problem{&g, 8.0, 60.0};
-  OptimalSolver solver;
-  Result<MergeSolution> solution = solver.Solve(problem);
+  Result<MergeSolution> solution = SolveOptimal(problem);
   ASSERT_TRUE(solution.ok());
   // Best: groups {r}, {a,b}, {c,d}, {e,f}: cut r->a, r->c, r->e = 4.
   EXPECT_DOUBLE_EQ(solution->cross_cost, 4.0);
@@ -88,8 +84,7 @@ TEST(OptimalSolverTest, InfeasibleWhenPairTooLarge) {
   const NodeId b = g.AddNode("B", 0.5, 100);
   ASSERT_TRUE(g.AddEdgeWithAlpha(a, b, 10, 1, CallType::kSync).ok());
   MergeProblem problem{&g, 2.0, 150.0};
-  OptimalSolver solver;
-  Result<MergeSolution> solution = solver.Solve(problem);
+  Result<MergeSolution> solution = SolveOptimal(problem);
   ASSERT_TRUE(solution.ok());
   EXPECT_DOUBLE_EQ(solution->cross_cost, 10.0);
   EXPECT_EQ(solution->num_groups(), 2);
@@ -117,8 +112,7 @@ TEST(OptimalSolverTest, MatchesBruteForceOnRandomGraphs) {
     }
     MergeProblem problem{&g, std::max(total_cpu * 0.7, max_cpu * 1.5),
                          std::max(total_mem * 0.7, max_mem * 1.5)};
-    OptimalSolver solver;
-    Result<MergeSolution> solution = solver.Solve(problem);
+    Result<MergeSolution> solution = SolveOptimal(problem);
     ASSERT_TRUE(solution.ok()) << "trial " << trial;
     EXPECT_TRUE(CheckSolution(problem, *solution).ok()) << "trial " << trial;
     EXPECT_DOUBLE_EQ(solution->cross_cost, ComputeCrossCost(g, *solution));
@@ -133,11 +127,10 @@ TEST(OptimalSolverTest, CandidateSetLimitStopsEarly) {
   options.num_nodes = 8;
   CallGraph g = GenerateRandomRdag(options, rng);
   MergeProblem problem{&g, 100.0, 10000.0};
-  OptimalSolver solver;
   SolverOptions solver_options;
   solver_options.max_candidate_sets = 3;
   SolverStats stats;
-  Result<MergeSolution> solution = solver.Solve(problem, solver_options, &stats);
+  Result<MergeSolution> solution = SolveOptimal(problem, solver_options, &stats);
   EXPECT_LE(stats.candidate_sets_tried, 3);
   // Everything fits here, so even k=1 finds the full merge.
   ASSERT_TRUE(solution.ok());
@@ -239,9 +232,8 @@ TEST(OptimalSolverTest, EarlyStopMatchesFullSweep) {
           IlpSolveCache reference_cache;
           SolverOptions solver_options;
           solver_options.cache = with_cache ? &solver_cache : nullptr;
-          OptimalSolver solver;
           SolverStats stats;
-          Result<MergeSolution> solution = solver.Solve(problem, solver_options, &stats);
+          Result<MergeSolution> solution = SolveOptimal(problem, solver_options, &stats);
           const ReferenceSweep reference =
               RunReferenceSweep(problem, with_cache ? &reference_cache : nullptr);
           SCOPED_TRACE(StrCat("n=", n, " trial=", trial, " shape=", shape,

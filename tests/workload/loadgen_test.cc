@@ -92,6 +92,23 @@ TEST(OpenLoopTest, PoissonArrivalsApproximateRate) {
   EXPECT_NEAR(static_cast<double>(result.completed), 10000.0, 400.0);
 }
 
+TEST(OpenLoopTest, ZeroRateSendsNothingAndReturns) {
+  // rps 0 offers no load: the run sleeps through its window instead of
+  // rescheduling an arrival at one instant forever.
+  Simulation sim;
+  FixedLatencyService service(&sim, Milliseconds(5));
+  OpenLoopGenerator generator;
+  OpenLoopGenerator::Options options;
+  options.rps = 0.0;
+  options.warmup = Seconds(1);
+  options.duration = Seconds(2);
+  const LoadResult result = generator.Run(&sim, &service, "svc", options);
+  EXPECT_EQ(result.completed, 0);
+  EXPECT_EQ(result.failed, 0);
+  EXPECT_EQ(service.invocations, 0);
+  EXPECT_EQ(sim.now(), options.warmup + options.duration + options.drain_grace);
+}
+
 TEST(OpenLoopTest, PayloadFnCustomizesRequests) {
   Simulation sim;
   class PayloadCheck : public Invoker {
