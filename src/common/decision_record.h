@@ -37,8 +37,6 @@ struct DecisionRecord {
   int refinement_removals = 0;  // GRASP stage-2 prunes (winning start).
   int grasp_starts = 0;         // Multi-start width (0 = not GRASP).
   int threads = 0;              // Thread-pool width the decision used.
-  bool exhaustive = true;       // False when a sweep/deadline stopped early.
-  bool hit_deadline = false;    // The wall-clock budget expired mid-decision.
 
   // --- Context (filled by the controller when it emits the record).
   std::string trigger;        // "decide" | "reconsider".

@@ -1,6 +1,5 @@
 #include "src/common/json.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 
@@ -43,8 +42,11 @@ void EscapeTo(const std::string& s, std::string& out) {
   out.push_back('"');
 }
 
+// JSON has no NaN or infinity: a non-finite number is written as null.
 void NumberTo(double d, std::string& out) {
-  if (std::floor(d) == d && std::abs(d) < 1e15) {
+  if (!std::isfinite(d)) {
+    out += "null";
+  } else if (std::floor(d) == d && std::abs(d) < 1e15) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
     out += buf;
@@ -54,248 +56,6 @@ void NumberTo(double d, std::string& out) {
     out += buf;
   }
 }
-
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
-
-  Result<Json> Parse() {
-    SkipWs();
-    Result<Json> value = ParseValue();
-    if (!value.ok()) {
-      return value;
-    }
-    SkipWs();
-    if (pos_ != text_.size()) {
-      return Error("trailing characters after JSON document");
-    }
-    return value;
-  }
-
- private:
-  Status Error(const std::string& what) const {
-    return InvalidArgumentError("JSON parse error at offset " + std::to_string(pos_) + ": " +
-                                what);
-  }
-
-  void SkipWs() {
-    while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  Result<Json> ParseValue() {
-    if (pos_ >= text_.size()) {
-      return Error("unexpected end of input");
-    }
-    const char c = text_[pos_];
-    switch (c) {
-      case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
-      case '"': {
-        Result<std::string> s = ParseString();
-        if (!s.ok()) {
-          return s.status();
-        }
-        return Json(std::move(s).value());
-      }
-      case 't':
-        return ParseLiteral("true", Json(true));
-      case 'f':
-        return ParseLiteral("false", Json(false));
-      case 'n':
-        return ParseLiteral("null", Json(nullptr));
-      default:
-        return ParseNumber();
-    }
-  }
-
-  Result<Json> ParseLiteral(const char* lit, Json value) {
-    for (const char* p = lit; *p != '\0'; ++p) {
-      if (pos_ >= text_.size() || text_[pos_] != *p) {
-        return Error(std::string("expected literal '") + lit + "'");
-      }
-      ++pos_;
-    }
-    return value;
-  }
-
-  Result<Json> ParseNumber() {
-    const size_t start = pos_;
-    if (Consume('-')) {
-    }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '+' ||
-            text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      return Error("invalid value");
-    }
-    const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double d = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
-      return Error("malformed number '" + token + "'");
-    }
-    return Json(d);
-  }
-
-  Result<std::string> ParseString() {
-    if (!Consume('"')) {
-      return Error("expected '\"'");
-    }
-    std::string out;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') {
-        return out;
-      }
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) {
-        break;
-      }
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"':
-          out.push_back('"');
-          break;
-        case '\\':
-          out.push_back('\\');
-          break;
-        case '/':
-          out.push_back('/');
-          break;
-        case 'n':
-          out.push_back('\n');
-          break;
-        case 'r':
-          out.push_back('\r');
-          break;
-        case 't':
-          out.push_back('\t');
-          break;
-        case 'b':
-          out.push_back('\b');
-          break;
-        case 'f':
-          out.push_back('\f');
-          break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) {
-            return Error("truncated \\u escape");
-          }
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code += static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code += static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code += static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return Error("bad hex digit in \\u escape");
-            }
-          }
-          // Encode as UTF-8 (BMP only; surrogate pairs are passed through
-          // as-is, which is sufficient for simulator payloads).
-          if (code < 0x80) {
-            out.push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          } else {
-            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          }
-          break;
-        }
-        default:
-          return Error("unknown escape");
-      }
-    }
-    return Error("unterminated string");
-  }
-
-  Result<Json> ParseObject() {
-    Consume('{');
-    Json::Object obj;
-    SkipWs();
-    if (Consume('}')) {
-      return Json(std::move(obj));
-    }
-    while (true) {
-      SkipWs();
-      Result<std::string> key = ParseString();
-      if (!key.ok()) {
-        return key.status();
-      }
-      SkipWs();
-      if (!Consume(':')) {
-        return Error("expected ':' in object");
-      }
-      SkipWs();
-      Result<Json> value = ParseValue();
-      if (!value.ok()) {
-        return value;
-      }
-      obj[std::move(key).value()] = std::move(value).value();
-      SkipWs();
-      if (Consume(',')) {
-        continue;
-      }
-      if (Consume('}')) {
-        return Json(std::move(obj));
-      }
-      return Error("expected ',' or '}' in object");
-    }
-  }
-
-  Result<Json> ParseArray() {
-    Consume('[');
-    Json::Array arr;
-    SkipWs();
-    if (Consume(']')) {
-      return Json(std::move(arr));
-    }
-    while (true) {
-      SkipWs();
-      Result<Json> value = ParseValue();
-      if (!value.ok()) {
-        return value;
-      }
-      arr.push_back(std::move(value).value());
-      SkipWs();
-      if (Consume(',')) {
-        continue;
-      }
-      if (Consume(']')) {
-        return Json(std::move(arr));
-      }
-      return Error("expected ',' or ']' in array");
-    }
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -437,11 +197,6 @@ std::string Json::Dump() const {
     }
   }
   return out;
-}
-
-Result<Json> Json::Parse(const std::string& text) {
-  Parser parser(text);
-  return parser.Parse();
 }
 
 }  // namespace quilt

@@ -1,8 +1,8 @@
-// Minimal JSON value type with serialization and parsing.
+// Minimal JSON value type with serialization.
 //
 // Serverless functions exchange (JSON-encoded) strings exclusively -- this is
 // the observation Quilt exploits to merge functions across languages (§5).
-// The runtime uses this library to build and parse request/response payloads.
+// The runtime uses this library to build request/response payloads.
 #ifndef SRC_COMMON_JSON_H_
 #define SRC_COMMON_JSON_H_
 
@@ -62,11 +62,8 @@ class Json {
   size_t size() const;
   const Json& At(size_t index) const;
 
-  // Compact serialization ({"k":"v",...}).
+  // Compact serialization ({"k":"v",...}). Non-finite numbers dump as null.
   std::string Dump() const;
-
-  // Parses a JSON document. Returns an error for malformed input.
-  static Result<Json> Parse(const std::string& text);
 
   bool operator==(const Json& other) const { return value_ == other.value_; }
 

@@ -22,9 +22,6 @@ Status ControllerOptions::Validate() const {
   if (decision.grasp_threads < 1) {
     return InvalidArgumentError("decision.grasp_threads must be >= 1");
   }
-  if (decision.grasp_starts < 1) {
-    return InvalidArgumentError("decision.grasp_starts must be >= 1");
-  }
   if (compile.compile_threads < 1) {
     return InvalidArgumentError("compile.compile_threads must be >= 1");
   }

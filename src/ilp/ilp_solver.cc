@@ -197,7 +197,7 @@ class Search {
     }
   }
 
-  // Returns true if the search space was exhausted (vs. a limit being hit).
+  // Returns true if the search space was exhausted, false at the node limit.
   bool DepthFirstSearch() {
     std::vector<DecisionFrame> stack;
     int cursor = 0;
@@ -205,12 +205,6 @@ class Search {
       ++nodes_;
       if (options_.max_nodes > 0 && nodes_ > options_.max_nodes) {
         return false;
-      }
-      // Deadline checks are amortized: a clock read every node would dominate
-      // the cheap propagation work.
-      if (options_.has_deadline() && (nodes_ & 1023) == 0 &&
-          std::chrono::steady_clock::now() >= options_.deadline) {
-        return false;  // Incumbent (if any) is reported as kFeasible.
       }
 
       bool conflict = !Propagate();

@@ -11,7 +11,6 @@
 #ifndef SRC_ILP_ILP_SOLVER_H_
 #define SRC_ILP_ILP_SOLVER_H_
 
-#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -22,7 +21,7 @@ namespace quilt {
 
 enum class IlpStatus {
   kOptimal,          // Proven optimal (within mip_gap if one was set).
-  kFeasible,         // Found a solution but hit a node/time limit before proving.
+  kFeasible,         // Found a solution but hit the node limit before proving.
   kInfeasible,       // No feasible assignment exists.
   kNoBetterThanCutoff,  // Feasible solutions may exist, none beats the cutoff.
   kLimitReached,     // Limit hit before any solution was found.
@@ -34,19 +33,8 @@ struct IlpSolveOptions {
   double mip_gap = 0.0;
   // Only solutions with objective < cutoff are accepted (strict).
   double cutoff = std::numeric_limits<double>::infinity();
-  // Search limits (0 = unlimited).
+  // Search limit (0 = unlimited).
   int64_t max_nodes = 0;
-  // Wall-clock deadline (absolute, steady clock). On expiry the search stops
-  // and the best incumbent found so far is returned as kFeasible
-  // (kLimitReached when none exists yet). time_point::max() = no deadline.
-  // Note: a deadline trades determinism for latency — identical inputs can
-  // return different incumbents depending on machine speed.
-  std::chrono::steady_clock::time_point deadline =
-      std::chrono::steady_clock::time_point::max();
-
-  bool has_deadline() const {
-    return deadline != std::chrono::steady_clock::time_point::max();
-  }
 };
 
 struct IlpSolution {

@@ -49,16 +49,11 @@ SolverOptions DecisionEngine::OptionsFor(SolverChoice choice) const {
   SolverOptions solver_options;
   if (choice == SolverChoice::kGrasp) {
     solver_options = SolverOptions::GraspDefaults();
-    solver_options.num_starts = options_.grasp_starts;
+    solver_options.num_starts = kGraspStarts;
     solver_options.num_threads = options_.grasp_threads;
   }
   solver_options.seed = options_.seed;
   solver_options.cache = cache_.get();
-  if (options_.deadline_ms > 0.0) {
-    solver_options.deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::microseconds(static_cast<int64_t>(options_.deadline_ms * 1000.0));
-  }
   return solver_options;
 }
 
@@ -109,8 +104,6 @@ Result<MergeSolution> DecisionEngine::Decide(const MergeProblem& problem,
     record->refinement_removals = stats.refinement_removals;
     record->grasp_starts = stats.starts;
     record->threads = stats.threads;
-    record->exhaustive = stats.exhaustive;
-    record->hit_deadline = stats.hit_deadline;
   }
   return solution;
 }

@@ -11,8 +11,10 @@
 //
 // The exact and DIH sweeps run SolverOptions{} (exact Phase-2 ILPs, ℓ = 6);
 // GRASP runs SolverOptions::GraspDefaults() (5% stage gap, bounded stage
-// ILPs). DIH and GRASP rank candidates by DownstreamImpactScores. λ of the
-// blended objective is the problem's (PlanCostModel::weight).
+// ILPs) with kGraspStarts starts. DIH and GRASP rank candidates by
+// DownstreamImpactScores. λ of the blended objective is the problem's
+// (PlanCostModel::weight). Every solver runs to its own stop rule; no clock
+// cuts a decision short.
 //
 // Every decision emits a DecisionRecord describing what ran and what it cost.
 #ifndef SRC_PARTITION_DECISION_ENGINE_H_
@@ -29,6 +31,9 @@ namespace quilt {
 // kAuto policy thresholds.
 inline constexpr int kOptimalMaxNodes = 11;  // Exact sweep up to here (2^(|V|-1) sets).
 inline constexpr int kGraspMinNodes = 26;    // GRASP at or beyond; DIH sweep in between.
+// Best-of-N GRASP starts, run on up to DecisionEngineOptions::grasp_threads
+// threads; any thread count yields a bit-identical answer.
+inline constexpr int kGraspStarts = 4;
 
 struct DecisionEngineOptions {
   // kAuto picks by graph size; the explicit choices force one solver.
@@ -36,13 +41,7 @@ struct DecisionEngineOptions {
   // Base seed of the GRASP draws; every DecisionRecord carries it, so
   // decisions are reproducible.
   uint64_t seed = 0x9e3779b97f4a7c15ull;
-  // Wall-clock budget per decision in ms (0 = none). On expiry the solvers
-  // stop sweeping and return the best incumbent (trades determinism for
-  // bounded decision latency).
-  double deadline_ms = 0.0;
-  // Best-of-N GRASP starts, run on up to grasp_threads threads; any thread
-  // count yields a bit-identical answer.
-  int grasp_starts = 4;
+  // Threads for the kGraspStarts GRASP starts.
   int grasp_threads = 1;
   // Phase-2 ILP memoization (LRU, 4096 entries) shared across solvers and
   // successive decisions: re-decisions on a stable profile hit.

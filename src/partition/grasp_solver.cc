@@ -32,6 +32,9 @@ namespace {
 // candidates (or from the whole pool once ℓ exceeds it).
 constexpr int kRclSize = 16;
 
+// Stage 1's first pool size ℓ, grown by one per infeasible round of draws.
+constexpr int kInitialPoolSize = 2;
+
 struct StartOutcome {
   Result<MergeSolution> solution = InternalError("start never ran");
   SolverStats stats;
@@ -56,19 +59,13 @@ StartOutcome RunStart(const MergeProblem& problem, uint64_t fingerprint,
   // ---- Stage 1: find an initial feasible solution. ----
   std::optional<MergeSolution> best;
   std::vector<NodeId> best_roots;
-  int pool_size = std::min<int>(options.initial_pool_size, static_cast<int>(ranked.size()));
+  int pool_size = std::min<int>(kInitialPoolSize, static_cast<int>(ranked.size()));
   if (pool_size < 1) {
     pool_size = 1;
   }
   while (!best.has_value()) {
     if (pool_size > static_cast<int>(ranked.size())) {
       out.solution = InfeasibleError("GRASP stage 1 exhausted all candidates without feasibility");
-      return out;
-    }
-    if (options.expired()) {
-      st.hit_deadline = true;
-      st.exhaustive = false;
-      out.solution = DeadlineExceededError("GRASP deadline expired before stage 1 feasibility");
       return out;
     }
     const int rcl = std::min<int>(std::max(kRclSize, pool_size),
@@ -97,13 +94,10 @@ StartOutcome RunStart(const MergeProblem& problem, uint64_t fingerprint,
   st.final_pool_size = pool_size;
 
   // ---- Stage 2: greedy refinement by pruning low-score roots. ----
-  int rounds = 0;
+  // It ends at a local optimum: a full scan with no improving removal.
   bool improved = true;
-  while (improved && !st.hit_deadline) {
+  while (improved) {
     improved = false;
-    if (options.max_refinement_rounds > 0 && ++rounds > options.max_refinement_rounds) {
-      break;
-    }
     // Removable roots in ascending score order (least valuable first).
     std::vector<NodeId> removable;
     for (NodeId r : best_roots) {
@@ -119,11 +113,6 @@ StartOutcome RunStart(const MergeProblem& problem, uint64_t fingerprint,
     });
 
     for (NodeId remove : removable) {
-      if (options.expired()) {
-        st.hit_deadline = true;
-        st.exhaustive = false;
-        break;  // Keep the incumbent found so far.
-      }
       std::vector<NodeId> candidate_roots;
       for (NodeId r : best_roots) {
         if (r != remove) {
@@ -197,8 +186,6 @@ Result<MergeSolution> SolveGrasp(const MergeProblem& problem, ScoreFn score,
     st.candidate_sets_tried += outcome.stats.candidate_sets_tried;
     st.feasible_sets += outcome.stats.feasible_sets;
     st.stage1_attempts += outcome.stats.stage1_attempts;
-    st.hit_deadline = st.hit_deadline || outcome.stats.hit_deadline;
-    st.exhaustive = st.exhaustive && outcome.stats.exhaustive;
     if (!outcome.solution.ok()) {
       continue;
     }

@@ -2,13 +2,13 @@
 // generalized to deterministic parallel multi-start.
 //
 // One start works as in the paper. Stage 1 finds an initial feasible
-// solution: starting from a small pool size ℓ, it randomly draws ℓ
-// candidates from a Restricted Candidate List of top-score nodes and solves
-// the ILP with all of them as roots; on infeasibility ℓ grows and the draw
-// repeats. Stage 2 greedily prunes the root set: removable roots are tried in
+// solution: starting from a pool size ℓ of 2, it randomly draws ℓ candidates
+// from a Restricted Candidate List of top-score nodes and solves the ILP with
+// all of them as roots; on infeasibility ℓ grows and the draw repeats.
+// Stage 2 greedily prunes the root set: removable roots are tried in
 // ascending score order; any removal that stays feasible and lowers the
 // cross-edge cost is accepted and the scan restarts; a full pass with no
-// improvement is a local optimum.
+// improvement is a local optimum, where the start ends.
 //
 // "Top-score" is the order RankCandidates gives a score function, as in the
 // DIH sweep.
@@ -31,9 +31,9 @@
 
 namespace quilt {
 
-// SolverOptions fields honored: mip_gap, max_nodes_per_ilp, deadline, cache,
-// seed, initial_pool_size, draws_per_size, max_refinement_rounds,
-// num_starts, num_threads (the Restricted Candidate List size is fixed).
+// SolverOptions fields honored: mip_gap, max_nodes_per_ilp, cache, seed,
+// draws_per_size, num_starts, num_threads (the initial pool size and the
+// Restricted Candidate List size are fixed).
 // Callers wanting the paper's large-graph defaults (5% gap, bounded ILPs)
 // should start from SolverOptions::GraspDefaults().
 Result<MergeSolution> SolveGrasp(const MergeProblem& problem, ScoreFn score,

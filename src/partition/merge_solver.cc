@@ -1,7 +1,6 @@
 #include "src/partition/merge_solver.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 
 #include "src/common/hash.h"
@@ -95,11 +94,7 @@ Result<MergeSolution> SolveForRootsCached(const MergeProblem& problem,
     } else if (solved.status().code() != StatusCode::kInfeasible) {
       return solved.status();  // Node-limit etc.: not a memoizable outcome.
     }
-    // A solve that ran into its deadline may have stopped at an unproven
-    // incumbent, and the key carries no deadline: use it, but do not memoize.
-    if (!pure.has_deadline() || std::chrono::steady_clock::now() < pure.deadline) {
-      cache->Insert(key, fresh);
-    }
+    cache->Insert(key, fresh);
     entry = std::move(fresh);
   }
 

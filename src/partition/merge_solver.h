@@ -9,7 +9,6 @@
 #ifndef SRC_PARTITION_MERGE_SOLVER_H_
 #define SRC_PARTITION_MERGE_SOLVER_H_
 
-#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -28,26 +27,18 @@ struct SolverOptions {
   // --- Shared Phase-2 ILP knobs.
   double mip_gap = 0.0;         // Stop within this relative gap (0 = exact).
   int64_t max_nodes_per_ilp = 0;  // Branch-and-bound node budget (0 = off).
-  // Wall-clock deadline for the whole decision (steady clock; max() = none).
-  // Solvers stop sweeping/refining on expiry and return the incumbent; the
-  // in-flight ILP also stops and reports its own incumbent as kFeasible.
-  std::chrono::steady_clock::time_point deadline =
-      std::chrono::steady_clock::time_point::max();
   // Optional shared memoization of Phase-2 solves (nullptr = off). With a
   // cache, inner solves ignore the incumbent cutoff (results must be pure
   // functions of the cache key) and the cutoff is applied to the memoized
   // result instead — see SolveForRootsCached.
   IlpSolveCache* cache = nullptr;
 
-  // --- Root-set sweeps (SolveOptimal, SolveDihSweep).
-  int64_t max_candidate_sets = 0;  // Abort enumeration after this many (0 = ∞).
+  // --- DIH sweep (SolveDihSweep).
   int pool_size = 6;   // ℓ: top-scoring candidates kept in the DIH pool.
 
   // --- GRASP (App C.4), now multi-start.
   uint64_t seed = 0x9e3779b97f4a7c15ull;  // Base seed; start s derives its own.
-  int initial_pool_size = 2;  // Initial ℓ.
   int draws_per_size = 3;     // Random pool draws before growing ℓ.
-  int max_refinement_rounds = 0;  // 0 = until local optimum.
   int num_starts = 1;   // Independent GRASP starts; best-of by (cost, signature).
   int num_threads = 1;  // Threads for the starts (1 = inline, no pool).
 
@@ -60,18 +51,11 @@ struct SolverOptions {
     return options;
   }
 
-  bool has_deadline() const {
-    return deadline != std::chrono::steady_clock::time_point::max();
-  }
-  bool expired() const {
-    return has_deadline() && std::chrono::steady_clock::now() >= deadline;
-  }
   // The Phase-2 ILP knobs every inner solve starts from (no cutoff).
   IlpSolveOptions ilp() const {
     IlpSolveOptions ilp_options;
     ilp_options.mip_gap = mip_gap;
     ilp_options.max_nodes = max_nodes_per_ilp;
-    ilp_options.deadline = deadline;
     return ilp_options;
   }
 };
@@ -82,11 +66,6 @@ struct SolverStats {
   int64_t ilp_cache_hits = 0;   // ... of which the IlpSolveCache answered.
   int64_t candidate_sets_tried = 0;
   int64_t feasible_sets = 0;
-  // False when a limit or deadline stopped a sweep early. A sweep that stops
-  // at a proven optimum (SolveOptimal) or stalls (SolveDihSweep) stays
-  // exhaustive.
-  bool exhaustive = true;
-  bool hit_deadline = false;
 
   // GRASP specifics (zero for the other solvers).
   int stage1_attempts = 0;
@@ -111,9 +90,7 @@ uint64_t FingerprintProblem(const MergeProblem& problem);
 // function of (fingerprint, roots, mip_gap, max_nodes), and the cutoff is
 // applied to the memoized result afterwards — which keeps parallel GRASP
 // starts bit-deterministic regardless of which start populates the cache
-// first. A fresh solve that ends past ilp_options.deadline is returned but
-// not memoized, since it may have stopped early. Increments
-// stats->ilp_solves (and ilp_cache_hits on a hit).
+// first. Increments stats->ilp_solves (and ilp_cache_hits on a hit).
 Result<MergeSolution> SolveForRootsCached(const MergeProblem& problem,
                                           uint64_t fingerprint,
                                           const std::vector<NodeId>& roots,

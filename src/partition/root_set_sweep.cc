@@ -32,16 +32,6 @@ std::optional<MergeSolution> SweepRootSets(const MergeProblem& problem, uint64_t
     bool improved = false;
     const bool completed =
         ForEachCombination(num_candidates, k - 1, [&](const std::vector<int>& combo) {
-          if (options.max_candidate_sets > 0 &&
-              st.candidate_sets_tried >= options.max_candidate_sets) {
-            st.exhaustive = false;
-            return false;
-          }
-          if (options.expired()) {
-            st.exhaustive = false;
-            st.hit_deadline = true;
-            return false;
-          }
           ++st.candidate_sets_tried;
 
           std::vector<NodeId> roots = {workflow_root};
@@ -68,7 +58,7 @@ std::optional<MergeSolution> SweepRootSets(const MergeProblem& problem, uint64_t
           return best->cross_cost > proven_optimum;  // Else no later set improves.
         });
     if (!completed) {
-      break;  // Optimum reached, or candidate-set budget or deadline exhausted.
+      break;  // Optimum reached.
     }
     if (stall_limit > 0 && best.has_value()) {
       stalled = improved ? 0 : stalled + 1;
@@ -99,8 +89,7 @@ Result<MergeSolution> SolveOptimal(const MergeProblem& problem, const SolverOpti
   // first set that reaches it. Only an exact, unlimited solve of the
   // Appendix-B encoding proves that; otherwise the sweep runs to the end.
   double proven_optimum = -std::numeric_limits<double>::infinity();
-  if (options.mip_gap <= 0.0 && options.max_nodes_per_ilp == 0 && !options.has_deadline() &&
-      n <= kCompactEncodingThreshold) {
+  if (options.mip_gap <= 0.0 && options.max_nodes_per_ilp == 0 && n <= kCompactEncodingThreshold) {
     std::vector<NodeId> all_nodes(n);
     std::iota(all_nodes.begin(), all_nodes.end(), 0);
     Result<MergeSolution> all_roots = SolveForRootsCached(problem, fingerprint, all_nodes,

@@ -13,21 +13,19 @@
 //   cost is the sweep's optimum, and the sweep stops at the first plan that
 //   reaches it (DESIGN.md §4.7); it returns the plan the full sweep would.
 //   The bound is skipped, and the sweep runs to the end, when the inner ILPs
-//   are inexact (mip_gap, node budget, deadline) or use the compact
-//   encoding. Worst case: 2^(|V|-1) root sets, so it is practical only for
-//   small call graphs (the paper says <= 20 vertices).
+//   are inexact (mip_gap, node budget) or use the compact encoding. Worst
+//   case: 2^(|V|-1) root sets, so it is practical only for small call graphs
+//   (the paper says <= 20 vertices).
 // - SolveDihSweep: the top-ℓ nodes by a score (SolverOptions::pool_size),
 //   ties by id. It stops after two consecutive k without improvement ("keep
 //   increasing k until we find good enough groupings").
 //
 // Both also stop at a zero-cost plan under the latency objective (a blended
-// cost keeps a constant merge-side floor, so zero is not unbeatable), and at
-// max_candidate_sets or the deadline. Only those last two mark the decision
-// non-exhaustive in SolverStats.
+// cost keeps a constant merge-side floor, so zero is not unbeatable).
 //
-// SolverOptions fields honoured: mip_gap, max_nodes_per_ilp, deadline, cache,
-// max_candidate_sets, and pool_size (DIH only). The R = V solve counts in
-// SolverStats::ilp_solves, not in candidate_sets_tried.
+// SolverOptions fields honoured: mip_gap, max_nodes_per_ilp, cache, and
+// pool_size (DIH only). The R = V solve counts in SolverStats::ilp_solves,
+// not in candidate_sets_tried.
 #ifndef SRC_PARTITION_ROOT_SET_SWEEP_H_
 #define SRC_PARTITION_ROOT_SET_SWEEP_H_
 

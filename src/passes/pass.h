@@ -12,9 +12,9 @@ namespace quilt {
 struct PassStats {
   std::string pass_name;
   bool changed = false;
-  // Real wall-clock the pass took, filled by the PassManager when the pass
-  // runs under it. Excluded from artifact signatures and records: it is the
-  // one field that is NOT a pure function of the inputs.
+  // Real wall-clock the pass took, filled by the CompileService when it runs
+  // the pass. Excluded from artifact signatures and records: it is the one
+  // field that is NOT a pure function of the inputs.
   double wall_ms = 0.0;
   // Named counters, e.g. "calls_localized", "functions_removed".
   std::map<std::string, int64_t> counters;

@@ -1,6 +1,7 @@
 #include "src/quiltc/compile_service.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <deque>
 #include <set>
@@ -10,7 +11,10 @@
 #include "src/common/thread_pool.h"
 #include "src/frontend/frontend.h"
 #include "src/ir/linker.h"
-#include "src/passes/pass_manager.h"
+#include "src/passes/dce.h"
+#include "src/passes/delay_http.h"
+#include "src/passes/implib_wrap.h"
+#include "src/passes/merge_func.h"
 #include "src/passes/rename_func.h"
 
 namespace quilt {
@@ -54,6 +58,8 @@ uint64_t SingleFingerprint(const SourceFunction& source) {
   return MixWord(MixWord(kFnvOffset, kSingleTag), CompileService::FingerprintSource(source));
 }
 
+// Entry caps of the per-function IR cache and the merged-artifact cache.
+constexpr size_t kIrCacheCapacity = 512;
 constexpr size_t kArtifactCacheCapacity = 128;
 
 // Modeled llvm-link cost: proportional to the bitcode being combined.
@@ -64,6 +70,25 @@ SimDuration ModeledLinkRoundTime(int64_t module_bytes) {
 // Modeled Quilt-pass cost per merge round.
 SimDuration ModeledMergeRoundTime(int64_t module_bytes) {
   return Seconds(2.2 + static_cast<double>(module_bytes) / (1.2 * 1024 * 1024));
+}
+
+// Runs one IR pass over `module` and appends its PassStats, with the host
+// time it took in wall_ms, to `stats`. An error names the pass:
+// "pass '<name>': <message>".
+template <typename PassFn>
+Status RunPass(const char* name, IrModule& module, std::vector<PassStats>& stats,
+               const PassFn& pass) {
+  const auto start = std::chrono::steady_clock::now();
+  Result<PassStats> result = pass(module);
+  if (!result.ok()) {
+    return Status(result.status().code(),
+                  StrCat("pass '", name, "': ", result.status().message()));
+  }
+  result->wall_ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+          .count();
+  stats.push_back(std::move(result).value());
+  return Status::Ok();
 }
 
 }  // namespace
@@ -233,7 +258,7 @@ Result<uint64_t> CompileService::FingerprintGroup(
 
 CompileService::CompileService(CompileServiceOptions options)
     : options_(std::move(options)),
-      ir_cache_(options_.ir_cache_capacity),
+      ir_cache_(kIrCacheCapacity),
       artifact_cache_(kArtifactCacheCapacity) {}
 
 Result<IrModule> CompileService::CompileFresh(const SourceFunction& source) const {
@@ -347,9 +372,8 @@ Result<MergedArtifact> CompileService::MergeFromModules(
     }
     mf.profiled_alpha = max_alpha;
 
-    PassManager round;
-    round.Add(MakeMergeFuncPass(std::move(mf)));
-    QUILT_RETURN_IF_ERROR(round.Run(merged, &artifact.pass_stats));
+    QUILT_RETURN_IF_ERROR(RunPass("MergeFunc", merged, artifact.pass_stats,
+                                  [&mf](IrModule& m) { return RunMergeFuncPass(m, mf); }));
     artifact.merge_time += ModeledMergeRoundTime(merged.TotalCodeSize());
     return Status::Ok();
   };
@@ -368,9 +392,14 @@ Result<MergedArtifact> CompileService::MergeFromModules(
     }
     IrModule callee_module = std::move(compiled).value();
 
-    PassManager rename;
-    rename.Add(MakeRenameFuncPass(FlatHandle(handle)));
-    QUILT_RETURN_IF_ERROR(rename.Run(callee_module, &artifact.pass_stats));
+    QUILT_RETURN_IF_ERROR(RunPass(
+        "RenameFunc", callee_module, artifact.pass_stats, [&](IrModule& m) -> Result<PassStats> {
+          Result<RenameResult> renamed = RunRenameFuncPass(m, FlatHandle(handle));
+          if (!renamed.ok()) {
+            return renamed.status();
+          }
+          return std::move(renamed->stats);
+        }));
 
     LinkStats link_stats;
     QUILT_RETURN_IF_ERROR(LinkInto(merged, callee_module, &link_stats));
@@ -408,14 +437,23 @@ Result<MergedArtifact> CompileService::MergeFromModules(
     artifact.localized_edges.push_back(localized);
   }
 
-  // Post-merge optimization pipeline (§5.2 steps 6-10).
-  PostMergePipelineOptions pipeline;
-  pipeline.delay_http = options_.quiltc.delay_http;
-  pipeline.dce = options_.quiltc.dce;
-  pipeline.implib_wrap = options_.quiltc.implib_wrap;
-  pipeline.dce_extra_roots = {root_scaffold};
-  PassManager post_merge = BuildPostMergePipeline(pipeline);
-  QUILT_RETURN_IF_ERROR(post_merge.Run(merged, &artifact.pass_stats));
+  // Post-merge optimization pipeline (§5.2 steps 6-10): DelayHTTP -> DCE ->
+  // ImplibWrap, each as QuiltcOptions selects it.
+  const QuiltcOptions& quiltc = options_.quiltc;
+  if (quiltc.delay_http) {
+    QUILT_RETURN_IF_ERROR(RunPass("DelayHTTP", merged, artifact.pass_stats,
+                                  [](IrModule& m) { return RunDelayHttpPass(m); }));
+  }
+  if (quiltc.dce) {
+    DceOptions dce;
+    dce.extra_roots = {root_scaffold};
+    QUILT_RETURN_IF_ERROR(RunPass("DCE", merged, artifact.pass_stats,
+                                  [&dce](IrModule& m) { return RunDcePass(m, dce); }));
+  }
+  if (quiltc.implib_wrap) {
+    QUILT_RETURN_IF_ERROR(RunPass("ImplibWrap", merged, artifact.pass_stats,
+                                  [](IrModule& m) { return RunImplibWrapPass(m); }));
+  }
 
   // Codegen lowers whatever the LAST module-mutating pass left behind, so
   // its modeled cost must be computed after the full pipeline (ImplibWrap

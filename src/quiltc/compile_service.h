@@ -59,9 +59,9 @@ struct CompileServiceOptions {
   // Threads for the parallel phase of MergeSolution. <=1 runs inline.
   int compile_threads = 1;
 
-  // Per-function IR cache (frontend outputs), LRU by source fingerprint.
+  // Per-function IR cache (frontend outputs), LRU by source fingerprint
+  // (512 entries).
   bool ir_cache = true;
-  size_t ir_cache_capacity = 512;
 
   // Merged-artifact cache, LRU by canonical group fingerprint (128 entries).
   bool artifact_cache = true;

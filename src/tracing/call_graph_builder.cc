@@ -27,12 +27,8 @@ Result<CallGraph> BuildCallGraphFromTraces(
   std::set<int64_t> member_traces;
   int64_t workflow_invocations = 0;
   for (const Span& span : spans) {
-    if (span.caller != kClientCaller || span.callee != root_handle) {
-      continue;
-    }
-    if (span.trace_id == 0) {
-      ++workflow_invocations;  // Legacy span without trace identity.
-    } else if (span.parent_span_id == 0 && member_traces.insert(span.trace_id).second) {
+    if (span.caller == kClientCaller && span.callee == root_handle &&
+        span.parent_span_id == 0 && member_traces.insert(span.trace_id).second) {
       ++workflow_invocations;
     }
   }
@@ -44,9 +40,7 @@ Result<CallGraph> BuildCallGraphFromTraces(
                "' in the profile window"));
   }
 
-  // Pass 2: per-edge occurrences, restricted to member traces. Spans with
-  // no trace id keep the old caller-side aggregation (the reachability
-  // filter below is then their only cross-workflow guard).
+  // Pass 2: per-edge occurrences, restricted to member traces.
   struct EdgeAgg {
     double weight = 0.0;
     int64_t async_count = 0;
@@ -57,7 +51,7 @@ Result<CallGraph> BuildCallGraphFromTraces(
     if (span.caller == kClientCaller) {
       continue;  // Client entries are not call-graph edges.
     }
-    if (span.trace_id != 0 && member_traces.count(span.trace_id) == 0) {
+    if (member_traces.count(span.trace_id) == 0) {
       continue;
     }
     EdgeAgg& agg = edges[{span.caller, span.callee}];
@@ -69,8 +63,8 @@ Result<CallGraph> BuildCallGraphFromTraces(
   }
 
   // Keep only the component reachable from this workflow's root. With trace
-  // grouping this is mostly a no-op; it still prunes legacy (id-less) spans
-  // and mid-trace orphans whose caller never appears below the root.
+  // grouping this is mostly a no-op; it still prunes mid-trace orphans whose
+  // caller never appears below the root.
   std::map<std::string, std::vector<std::string>> adjacency;
   for (const auto& [key, agg] : edges) {
     adjacency[key.first].push_back(key.second);

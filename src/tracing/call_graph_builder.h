@@ -32,9 +32,8 @@ inline bool MajorityAsync(int64_t async_count, int64_t total) {
 }
 
 // `root_handle` identifies the workflow: N = number of traces whose root
-// span is a client invocation of it. Spans without a trace id (legacy
-// producers, hand-built fixtures) fall back to caller-side aggregation. A
-// function with no samples in `usage` is labeled 0.1 vCPU and 16 MB.
+// span is a client invocation of it. A function with no samples in `usage`
+// is labeled 0.1 vCPU and 16 MB.
 Result<CallGraph> BuildCallGraphFromTraces(
     const std::vector<Span>& spans,
     const std::map<std::string, MetricsStore::FunctionUsage>& usage,

@@ -59,9 +59,6 @@ void DistributeOverhead(const Span& span, SimDuration overhead, LatencyBreakdown
 std::vector<Trace> AssembleTraces(const std::vector<Span>& spans) {
   std::map<int64_t, Trace> by_id;
   for (const Span& span : spans) {
-    if (span.trace_id == 0) {
-      continue;
-    }
     Trace& trace = by_id[span.trace_id];
     trace.trace_id = span.trace_id;
     trace.spans.push_back(span);

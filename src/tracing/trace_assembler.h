@@ -53,10 +53,9 @@ struct LatencyBreakdown {
   }
 };
 
-// Groups spans by trace id (spans with trace_id == 0 are ignored: they
-// predate trace identity and cannot be assembled). Traces are returned in
-// ascending trace-id order; a trace with no root span (e.g. the root fell
-// out of the store's retention window) has root_index == -1.
+// Groups spans by trace id. Traces are returned in ascending trace-id order;
+// a trace with no root span (e.g. the root fell out of the store's retention
+// window) has root_index == -1.
 std::vector<Trace> AssembleTraces(const std::vector<Span>& spans);
 
 // Decomposes one complete trace. Fails on traces without a root span or

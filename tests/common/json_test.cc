@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace quilt {
 namespace {
 
@@ -24,15 +26,11 @@ TEST(JsonTest, ObjectRoundTrip) {
   obj["user"] = "alice";
   obj["count"] = 3;
   obj["ok"] = true;
-  const std::string text = obj.Dump();
-  EXPECT_EQ(text, R"({"count":3,"ok":true,"user":"alice"})");
-
-  Result<Json> parsed = Json::Parse(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->Get("user").AsString(), "alice");
-  EXPECT_EQ(parsed->Get("count").AsInt(), 3);
-  EXPECT_TRUE(parsed->Get("ok").AsBool());
-  EXPECT_TRUE(parsed->Get("absent").is_null());
+  EXPECT_EQ(obj.Dump(), R"({"count":3,"ok":true,"user":"alice"})");
+  EXPECT_EQ(obj.Get("user").AsString(), "alice");
+  EXPECT_EQ(obj.Get("count").AsInt(), 3);
+  EXPECT_TRUE(obj.Get("ok").AsBool());
+  EXPECT_TRUE(obj.Get("absent").is_null());
 }
 
 TEST(JsonTest, ArrayRoundTrip) {
@@ -41,56 +39,48 @@ TEST(JsonTest, ArrayRoundTrip) {
   arr.Append("two");
   arr.Append(nullptr);
   EXPECT_EQ(arr.Dump(), R"([1,"two",null])");
-
-  Result<Json> parsed = Json::Parse(arr.Dump());
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->size(), 3u);
-  EXPECT_EQ(parsed->At(0).AsInt(), 1);
-  EXPECT_EQ(parsed->At(1).AsString(), "two");
-  EXPECT_TRUE(parsed->At(2).is_null());
-  EXPECT_TRUE(parsed->At(99).is_null());
+  EXPECT_EQ(arr.size(), 3u);
+  EXPECT_EQ(arr.At(0).AsInt(), 1);
+  EXPECT_EQ(arr.At(1).AsString(), "two");
+  EXPECT_TRUE(arr.At(2).is_null());
+  EXPECT_TRUE(arr.At(99).is_null());
 }
 
 TEST(JsonTest, NestedStructures) {
-  Result<Json> parsed = Json::Parse(R"({"a":{"b":[1,2,{"c":"d"}]}})");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->Get("a").Get("b").At(2).Get("c").AsString(), "d");
+  Json leaf = Json::MakeObject();
+  leaf["c"] = "d";
+  Json list = Json::MakeArray();
+  list.Append(1);
+  list.Append(2);
+  list.Append(leaf);
+  Json doc = Json::MakeObject();
+  doc["a"]["b"] = list;
+  EXPECT_EQ(doc.Dump(), R"({"a":{"b":[1,2,{"c":"d"}]}})");
+  EXPECT_EQ(doc.Get("a").Get("b").At(2).Get("c").AsString(), "d");
 }
 
 TEST(JsonTest, StringEscapes) {
-  Json s("line1\nline2\t\"quoted\"\\");
-  const std::string dumped = s.Dump();
-  Result<Json> parsed = Json::Parse(dumped);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->AsString(), "line1\nline2\t\"quoted\"\\");
-}
-
-TEST(JsonTest, UnicodeEscapeParsing) {
-  Result<Json> parsed = Json::Parse(R"("Aé")");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->AsString(), "A\xc3\xa9");
+  EXPECT_EQ(Json("line1\nline2\t\"quoted\"\\\r\x01").Dump(),
+            R"("line1\nline2\t\"quoted\"\\\r\u0001")");
 }
 
 TEST(JsonTest, Numbers) {
-  Result<Json> parsed = Json::Parse("[-1.5, 0, 3e2, 1000000]");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->At(0).AsDouble(), -1.5);
-  EXPECT_EQ(parsed->At(1).AsInt(), 0);
-  EXPECT_EQ(parsed->At(2).AsDouble(), 300.0);
-  EXPECT_EQ(parsed->At(3).AsInt(), 1000000);
-}
-
-TEST(JsonTest, WhitespaceTolerated) {
-  Result<Json> parsed = Json::Parse("  { \"a\" :\n[ 1 , 2 ]\t} ");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->Get("a").size(), 2u);
-}
-
-TEST(JsonTest, MalformedInputsRejected) {
-  for (const char* bad : {"", "{", "[1,", "{\"a\":}", "tru", "\"unterminated", "{]}", "1 2",
-                          "{\"a\":1,}", "nul"}) {
-    EXPECT_FALSE(Json::Parse(bad).ok()) << "input: " << bad;
+  Json arr = Json::MakeArray();
+  for (double d : {-1.5, 0.0, 300.0, 1000000.0, 0.1, 1e15}) {
+    arr.Append(d);
   }
+  EXPECT_EQ(arr.Dump(), "[-1.5,0,300,1000000,0.10000000000000001,1000000000000000]");
+}
+
+TEST(JsonTest, NonFiniteNumbersDumpAsNull) {
+  // JSON has no NaN or infinity literal; a reader rejects "nan" and "inf".
+  Json arr = Json::MakeArray();
+  for (double d : {std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity(), 1.5}) {
+    arr.Append(d);
+  }
+  EXPECT_EQ(arr.Dump(), "[null,null,null,1.5]");
 }
 
 TEST(JsonTest, OperatorBracketConvertsToObject) {

@@ -63,7 +63,7 @@ TEST(DecisionPolicyTest, LargeGraphDecisionUsesGraspAndLogsRecord) {
     EXPECT_EQ(record.graph_nodes, graph.num_nodes());
     EXPECT_TRUE(record.feasible);
     EXPECT_DOUBLE_EQ(record.final_cost, solution->cross_cost);
-    EXPECT_EQ(record.grasp_starts, h.controller.options().decision.grasp_starts);
+    EXPECT_EQ(record.grasp_starts, kGraspStarts);
     EXPECT_GT(record.ilp_solves, 0);
     EXPECT_GE(record.wall_ms, 0.0);
   }
@@ -91,7 +91,7 @@ TEST(DecisionPolicyTest, LargeGraphDecisionUsesGraspAndLogsRecord) {
   EXPECT_EQ(record.workflow, app.root_handle);
   EXPECT_EQ(record.solver, "grasp");
   EXPECT_EQ(record.seed, options.decision.seed);
-  EXPECT_EQ(record.grasp_starts, options.decision.grasp_starts);
+  EXPECT_EQ(record.grasp_starts, kGraspStarts);
   EXPECT_EQ(record.graph_nodes, static_cast<int>(app.functions.size()));
   EXPECT_TRUE(record.feasible);
   EXPECT_DOUBLE_EQ(record.final_cost, solution->cross_cost);

@@ -267,63 +267,5 @@ TEST_P(IlpRandomInstanceTest, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, IlpRandomInstanceTest, ::testing::Range(0, 40));
 
-// A dense random instance the branch-and-bound cannot close in its first
-// 1024 nodes (the deadline check cadence).
-IlpModel HardInstance(int n, Rng& rng) {
-  IlpModel model;
-  std::vector<int> vars;
-  for (int i = 0; i < n; ++i) {
-    vars.push_back(model.AddBinaryVar());
-    model.SetObjectiveCoef(vars[i], -(1.0 + rng.UniformDouble() * 0.01));
-  }
-  for (int c = 0; c < 4; ++c) {
-    std::vector<IlpTerm> terms;
-    double total = 0.0;
-    for (int i = 0; i < n; ++i) {
-      const double w = 1.0 + rng.UniformDouble() * 0.1;
-      terms.push_back({vars[i], w});
-      total += w;
-    }
-    model.AddLessEqual(terms, total * 0.5);
-  }
-  return model;
-}
-
-TEST(IlpSolverTest, ExpiredDeadlineStopsAtFirstCheckpoint) {
-  Rng rng(8);
-  const IlpModel model = HardInstance(40, rng);
-  IlpSolver solver;
-
-  // Without a deadline the search runs far past the first checkpoint (capped
-  // by max_nodes here — the full tree is impractically large).
-  IlpSolveOptions capped;
-  capped.max_nodes = 20000;
-  const IlpSolution unbounded = solver.Solve(model, capped);
-  ASSERT_GT(unbounded.nodes_explored, 2048);
-
-  IlpSolveOptions options;
-  options.deadline = std::chrono::steady_clock::now();  // Already expired.
-  const IlpSolution stopped = solver.Solve(model, options);
-  EXPECT_LE(stopped.nodes_explored, 1024);
-  // The incumbent found before the stop (if any) comes back as kFeasible.
-  EXPECT_TRUE(stopped.status == IlpStatus::kFeasible ||
-              stopped.status == IlpStatus::kLimitReached)
-      << static_cast<int>(stopped.status);
-}
-
-TEST(IlpSolverTest, GenerousDeadlineStillFindsTheOptimum) {
-  Rng rng(8);
-  const IlpModel model = HardInstance(12, rng);
-  IlpSolver solver;
-  const IlpSolution exact = solver.Solve(model);
-  ASSERT_EQ(exact.status, IlpStatus::kOptimal);
-
-  IlpSolveOptions options;
-  options.deadline = std::chrono::steady_clock::now() + std::chrono::minutes(5);
-  const IlpSolution sol = solver.Solve(model, options);
-  ASSERT_EQ(sol.status, IlpStatus::kOptimal);
-  EXPECT_DOUBLE_EQ(sol.objective, exact.objective);
-}
-
 }  // namespace
 }  // namespace quilt

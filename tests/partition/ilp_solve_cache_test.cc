@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
-
 #include "src/graph/random_dag.h"
 #include "src/partition/grasp_solver.h"
 #include "src/partition/ilp_encoding.h"
@@ -114,50 +112,6 @@ TEST(IlpSolveCacheTest, CutoffIsAppliedToTheMemoizedResult) {
   // All three queries resolved to one underlying solve.
   EXPECT_EQ(stats.ilp_solves, 3);
   EXPECT_EQ(stats.ilp_cache_hits, 2);
-}
-
-TEST(IlpSolveCacheTest, DeadlineTruncatedSolveIsNotMemoized) {
-  // A 21-root Phase-2 ILP that needs about 12k branch-and-bound nodes. With
-  // its deadline already past, the solve stops at the first deadline check
-  // (node 1024) on a worse incumbent. The key holds no deadline, so that
-  // incumbent must not answer a later solve that has time to finish.
-  Rng rng(815);
-  RandomDagOptions options;
-  options.num_nodes = 40;
-  CallGraph g = GenerateRandomRdag(options, rng);
-  double total_cpu = 0.0;
-  double total_mem = 0.0;
-  for (NodeId id = 0; id < g.num_nodes(); ++id) {
-    total_cpu += g.node(id).cpu;
-    total_mem += g.node(id).memory;
-  }
-  MergeProblem problem{&g, 0.3 * total_cpu, 0.3 * total_mem, PlanCostModel{}};
-  ASSERT_TRUE(problem.Validate().ok());
-  std::vector<NodeId> roots = {g.root()};
-  for (NodeId id = 1; id < g.num_nodes(); id += 2) {
-    roots.push_back(id);
-  }
-  ASSERT_EQ(roots.size(), 21u);
-  const uint64_t fingerprint = FingerprintProblem(problem);
-
-  Result<MergeSolution> exact = SolveForRoots(problem, roots);
-  ASSERT_TRUE(exact.ok());
-
-  IlpSolveCache cache(16);
-  IlpSolveOptions expired;
-  expired.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
-  Result<MergeSolution> truncated =
-      SolveForRootsCached(problem, fingerprint, roots, expired, &cache, nullptr);
-  ASSERT_TRUE(truncated.ok());
-  EXPECT_GT(truncated->cross_cost, exact->cross_cost);  // It really stopped early.
-  EXPECT_EQ(cache.stats().insertions, 0);
-
-  Result<MergeSolution> later =
-      SolveForRootsCached(problem, fingerprint, roots, IlpSolveOptions{}, &cache, nullptr);
-  ASSERT_TRUE(later.ok());
-  EXPECT_EQ(later->cross_cost, exact->cross_cost);
-  EXPECT_EQ(SolutionToString(g, *later), SolutionToString(g, *exact));
-  EXPECT_EQ(cache.stats().insertions, 1);
 }
 
 TEST(IlpSolveCacheTest, EvictsLeastRecentlyUsedUnderCapacity) {

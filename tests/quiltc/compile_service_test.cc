@@ -4,6 +4,7 @@
 
 #include <atomic>
 
+#include "src/common/strings.h"
 #include "src/frontend/frontend.h"
 
 namespace quilt {
@@ -142,16 +143,106 @@ TEST(CompileServiceTest, SinglesHitTheArtifactCache) {
 }
 
 TEST(CompileServiceTest, IrCacheEvictsAtCapacity) {
-  Workflow w = MovieReview();
+  // The IR cache holds 512 modules: one more distinct source evicts the
+  // least recently used one.
+  constexpr int kIrCacheCapacity = 512;
   CompileServiceOptions options;
-  options.ir_cache_capacity = 1;
   options.artifact_cache = false;
   CompileService service(options);
-  ASSERT_TRUE(service.BuildSingleFunction(w.sources["upload-text"]).ok());
-  ASSERT_TRUE(service.BuildSingleFunction(w.sources["upload-rating"]).ok());
-  const CompileServiceStats stats = service.stats();
-  EXPECT_EQ(stats.ir_insertions, 2);
+  SourceFunction source = MovieReview().sources["upload-text"];
+  for (int i = 0; i <= kIrCacheCapacity; ++i) {
+    source.handle = StrCat("fn-", i);
+    ASSERT_TRUE(service.BuildSingleFunction(source).ok()) << source.handle;
+  }
+  CompileServiceStats stats = service.stats();
+  EXPECT_EQ(stats.ir_insertions, kIrCacheCapacity + 1);
   EXPECT_EQ(stats.ir_evictions, 1);
+
+  // The newest module is still cached; the oldest one needs the frontend.
+  ASSERT_TRUE(service.BuildSingleFunction(source).ok());
+  source.handle = "fn-0";
+  ASSERT_TRUE(service.BuildSingleFunction(source).ok());
+  stats = service.stats();
+  EXPECT_EQ(stats.ir_hits, 1);
+  EXPECT_EQ(stats.frontend_compiles, kIrCacheCapacity + 2);
+}
+
+// --- Pass pipeline ---------------------------------------------------------
+
+std::vector<std::string> PassNames(const MergedArtifact& artifact) {
+  std::vector<std::string> names;
+  for (const PassStats& stats : artifact.pass_stats) {
+    names.push_back(stats.pass_name);
+  }
+  return names;
+}
+
+TEST(CompileServiceTest, PassStatsFollowThePipelineOrder) {
+  // Each BFS round renames the callee module and localizes its invokes; the
+  // post-merge passes run once, after the last round.
+  Workflow w = MovieReview();
+  CompileService service;
+  const MergeSolution solution = FullMergeSolution(w.graph);
+  Result<MergedArtifact> artifact = service.MergeGroup(w.graph, solution.groups[0], w.sources);
+  ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+  std::vector<std::string> expected;
+  for (int round = 0; round < 4; ++round) {
+    expected.insert(expected.end(), {"RenameFunc", "MergeFunc"});
+  }
+  expected.insert(expected.end(), {"DelayHTTP", "DCE", "ImplibWrap"});
+  EXPECT_EQ(PassNames(*artifact), expected);
+  for (const PassStats& stats : artifact->pass_stats) {
+    EXPECT_GE(stats.wall_ms, 0.0) << stats.pass_name;
+  }
+}
+
+TEST(CompileServiceTest, QuiltcOptionsSelectThePostMergePasses) {
+  struct Case {
+    bool delay_http;
+    bool dce;
+    bool implib_wrap;
+    std::vector<std::string> post_merge;
+  };
+  const std::vector<Case> cases = {
+      {true, true, true, {"DelayHTTP", "DCE", "ImplibWrap"}},
+      {false, true, true, {"DCE", "ImplibWrap"}},
+      {true, false, true, {"DelayHTTP", "ImplibWrap"}},
+      {true, true, false, {"DelayHTTP", "DCE"}},
+      {false, false, false, {}},
+  };
+  Workflow w = MovieReview();
+  MergeGroup pair;
+  pair.root = w.graph.FindNode("compose-review");
+  pair.members = {pair.root, w.graph.FindNode("upload-text")};
+  for (const Case& c : cases) {
+    CompileServiceOptions options;
+    options.quiltc.delay_http = c.delay_http;
+    options.quiltc.dce = c.dce;
+    options.quiltc.implib_wrap = c.implib_wrap;
+    CompileService service(options);
+    Result<MergedArtifact> artifact = service.MergeGroup(w.graph, pair, w.sources);
+    ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+    std::vector<std::string> expected = {"RenameFunc", "MergeFunc"};
+    expected.insert(expected.end(), c.post_merge.begin(), c.post_merge.end());
+    EXPECT_EQ(PassNames(*artifact), expected)
+        << "delay_http=" << c.delay_http << " dce=" << c.dce << " implib_wrap=" << c.implib_wrap;
+  }
+}
+
+TEST(CompileServiceTest, PassErrorIsPrefixedWithThePassName) {
+  // Empty modules pass verification, but MergeFunc finds no callee handler
+  // to localize.
+  Workflow w = MovieReview();
+  CompileServiceOptions options;
+  options.frontend = [](const SourceFunction& source) -> Result<IrModule> {
+    return IrModule(source.handle);
+  };
+  CompileService service(options);
+  const MergeSolution solution = FullMergeSolution(w.graph);
+  Result<MergedArtifact> artifact = service.MergeGroup(w.graph, solution.groups[0], w.sources);
+  ASSERT_FALSE(artifact.ok());
+  EXPECT_EQ(artifact.status().message().rfind("pass 'MergeFunc': ", 0), 0u)
+      << artifact.status().ToString();
 }
 
 // --- Fingerprints ----------------------------------------------------------

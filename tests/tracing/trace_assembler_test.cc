@@ -6,7 +6,6 @@
 // free, so small numbers lose no generality.
 #include <gtest/gtest.h>
 
-#include "src/common/json.h"
 #include "src/tracing/chrome_trace_exporter.h"
 #include "src/tracing/trace_assembler.h"
 
@@ -40,13 +39,9 @@ TEST(AssembleTracesTest, GroupsByTraceIdAndFindsRoots) {
   spans.push_back(MakeSpan(7, 12, 11, "a", "b", 5, 9, 6, 8));     // No root in trace 7.
   spans.push_back(MakeSpan(3, 8, 2, "root", "mid", 1, 4, 2, 3));  // Out of span-id order.
   spans.push_back(MakeSpan(3, 2, 0, kClientCaller, "root", 0, 6, 1, 5));
-  Span legacy;  // trace_id == 0: predates trace identity, not assemblable.
-  legacy.caller = "x";
-  legacy.callee = "y";
-  spans.push_back(legacy);
 
   const std::vector<Trace> traces = AssembleTraces(spans);
-  ASSERT_EQ(traces.size(), 2u);  // Legacy span dropped; ascending trace id.
+  ASSERT_EQ(traces.size(), 2u);  // Ascending trace id.
   EXPECT_EQ(traces[0].trace_id, 3);
   ASSERT_TRUE(traces[0].complete());
   EXPECT_EQ(traces[0].root().span_id, 2);  // Sorted by span id, root found.
@@ -180,34 +175,22 @@ TEST(ChromeTraceExporterTest, ExportParsesAndCarriesEverySpan) {
   child.status = SpanStatus::kTimeout;
   const Trace trace = MakeTrace({root, child});
 
-  Result<Json> doc = Json::Parse(ExportChromeTrace(trace));
-  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-  EXPECT_EQ(doc->Get("displayTimeUnit").AsString(), "ms");
-  const Json& events = doc->Get("traceEvents");
-  ASSERT_TRUE(events.is_array());
   // Two invocation slices plus the root's execution slice (the child never
-  // dispatched, so it has no exec slice).
-  ASSERT_EQ(events.size(), 3u);
-  int root_events = 0;
-  for (size_t i = 0; i < events.size(); ++i) {
-    const Json& event = events.At(i);
-    EXPECT_EQ(event.Get("ph").AsString(), "X");
-    EXPECT_TRUE(event.Get("ts").is_number());
-    EXPECT_TRUE(event.Get("dur").is_number());
-    EXPECT_GE(event.Get("ts").AsDouble(-1.0), 0.0);  // Relative to the root start.
-    if (event.Get("name").AsString() == "root") {
-      ++root_events;
-      EXPECT_EQ(event.Get("args").Get("trace_id").AsInt(), 9);
-      EXPECT_EQ(event.Get("args").Get("status").AsString(), "ok");
-    }
-    if (event.Get("name").AsString() == "leaf") {
-      EXPECT_EQ(event.Get("args").Get("status").AsString(), "timeout");
-      EXPECT_EQ(event.Get("args").Get("parent_span_id").AsInt(), 1);
-      // Overlaps the root, so the greedy lane assignment moves it off lane 1.
-      EXPECT_EQ(event.Get("tid").AsInt(), 2);
-    }
-  }
-  EXPECT_EQ(root_events, 1);
+  // dispatched, so it has no exec slice). Timestamps are microseconds from
+  // the root's start; the child overlaps the root, so the greedy lane
+  // assignment moves it to tid 2.
+  EXPECT_EQ(ExportChromeTrace(trace),
+            R"({"displayTimeUnit":"ms","traceEvents":[)"
+            R"({"args":{"async":false,"attempts":1,"caller":"client","cold_start_us":0,)"
+            R"("gateway_us":0,"network_us":1000,"parent_span_id":0,"queueing_us":0,)"
+            R"("span_id":1,"status":"ok","trace_id":9},"cat":"invocation","dur":6000,)"
+            R"("name":"root","ph":"X","pid":1,"tid":1,"ts":0},)"
+            R"({"cat":"execution","dur":4000,"name":"root [exec]","ph":"X","pid":1,"tid":1,)"
+            R"("ts":1000},)"
+            R"({"args":{"async":false,"attempts":1,"caller":"root","cold_start_us":0,)"
+            R"("gateway_us":0,"network_us":0,"parent_span_id":1,"queueing_us":0,"span_id":2,)"
+            R"("status":"timeout","trace_id":9},"cat":"invocation","dur":2000,"name":"leaf",)"
+            R"("ph":"X","pid":1,"tid":2,"ts":2000}]})");
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 namespace quilt {
 namespace {
 
-// Legacy (pre-trace-identity) span: trace_id stays 0.
+// A span with only caller, callee and start time, for the store tests.
 Span MakeSpan(const std::string& caller, const std::string& callee, bool async = false,
               SimTime t = 0) {
   Span span;
@@ -164,7 +164,7 @@ TEST(CallGraphBuilderTest, BuildsGraphWithAlpha) {
 }
 
 TEST(CallGraphBuilderTest, RequiresWorkflowInvocations) {
-  std::vector<Span> spans = {MakeSpan("a", "b")};
+  std::vector<Span> spans = {TracedSpan(1, 2, 1, "a", "b")};
   EXPECT_FALSE(BuildCallGraphFromTraces(spans, {}, "root").ok());
 }
 
@@ -218,13 +218,12 @@ TEST(CallGraphBuilderTest, MajorityAsyncTieBreaksToAsync) {
 
 TEST(CallGraphBuilderTest, AlphaIsCeilOfAverage) {
   std::vector<Span> spans;
-  for (int i = 0; i < 4; ++i) {
-    spans.push_back(MakeSpan(kClientCaller, "root"));
+  for (int64_t trace = 1; trace <= 4; ++trace) {
+    spans.push_back(TracedSpan(trace, 1, 0, kClientCaller, "root"));
+    spans.push_back(TracedSpan(trace, 2, 1, "root", "leaf"));
   }
   // 5 calls over 4 invocations -> alpha = ceil(1.25) = 2.
-  for (int i = 0; i < 5; ++i) {
-    spans.push_back(MakeSpan("root", "leaf"));
-  }
+  spans.push_back(TracedSpan(1, 3, 1, "root", "leaf"));
   Result<CallGraph> graph = BuildCallGraphFromTraces(spans, {}, "root");
   ASSERT_TRUE(graph.ok());
   const EdgeId edge = graph->FindEdge(graph->FindNode("root"), graph->FindNode("leaf"));
